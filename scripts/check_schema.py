@@ -1,21 +1,16 @@
 #!/usr/bin/env python
-"""Validate observability artifacts against their schemas.
+"""Validate run-directory artifacts against their schemas.
 
-Checks run-directory JSONL event logs (``events.jsonl``), benchmark files
-(``BENCH_*.json``), search checkpoints (``checkpoint.json``), and serving
-stats snapshots (``serve_stats.json``) with the validators dispatched by
+Checks JSONL event logs (``events.jsonl``), search checkpoints
+(``checkpoint.json``), and serving stats snapshots
+(``serve_stats.json``) with the validators dispatched by
 :mod:`repro.obs.schema`.
-
-``BENCH_infer.json`` is validated against schema version 2, which adds
-``arena_bytes`` / ``allocs_per_image`` (the planned executor's memory
-figures) and a ``host`` metadata block; runs recorded under schema 1 are
-migrated on the next append and carry ``null`` for the new fields.
 
 Usage::
 
-    python scripts/check_schema.py               # all BENCH_*.json in repo root
+    python scripts/check_schema.py               # everything under runs/
     python scripts/check_schema.py runs/my-run   # a traced run directory
-    python scripts/check_schema.py events.jsonl BENCH_parallel.json
+    python scripts/check_schema.py events.jsonl runs/serve/serve_stats.json
 
 Exits 0 when every file validates, 1 otherwise.  Wired into the test
 suite via ``tests/obs/test_schema.py``.
@@ -35,8 +30,8 @@ from repro.obs.trace import EVENTS_FILENAME  # noqa: E402
 
 
 def default_targets() -> list:
-    """Everything validatable in the repo root: bench files + run dirs."""
-    targets = sorted(REPO_ROOT.glob("BENCH_*.json"))
+    """Everything validatable under the repo's ``runs/`` directory."""
+    targets = []
     runs_dir = REPO_ROOT / "runs"
     if runs_dir.is_dir():
         targets.extend(sorted(runs_dir.glob(f"*/{EVENTS_FILENAME}")))
@@ -48,13 +43,12 @@ def default_targets() -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*",
-                        help="run dirs, events.jsonl files, or "
-                             "BENCH_*.json files (default: repo-root "
-                             "BENCH files and runs/*)")
+                        help="run dirs, events.jsonl, checkpoint.json or "
+                             "serve_stats.json files (default: runs/*)")
     args = parser.parse_args(argv)
     targets = [Path(p) for p in args.paths] or default_targets()
     if not targets:
-        print("nothing to validate (no BENCH_*.json or runs/ found)")
+        print("nothing to validate (no runs/ found)")
         return 0
     failures = 0
     for target in targets:

@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 CI: test suite + schema contracts + bench regression gate.
+# Tier-1 CI: test suite, schema contracts, serving smoke, benchmark smoke.
 #
 # Usage:  bash scripts/ci.sh
 #
 # Steps:
 #   1. tier-1 pytest (slow/bench marked tests stay opted out via addopts)
-#   2. schema validation of the committed BENCH_*.json files and of a
-#      freshly traced+profiled run's events.jsonl (exercises the full
-#      span/metric/profile event surface, not just checked-in artifacts)
+#   2. schema validation of a freshly traced+profiled run's events.jsonl
+#      (exercises the full span/metric/profile event surface)
 #   3. serving smoke test (HTTP round trip against a live daemon,
 #      concurrent clients, bit-identity vs serial inference, clean drain)
-#   4. bench gate dry run (reports newest-vs-baseline deltas; the
-#      enforcing run is `python scripts/bench_gate.py` without --dry-run,
-#      meant for perf-sensitive PRs after refreshing the BENCH logs)
+#   4. the repository benchmark's helper tests and a one-second run of
+#      every workload (`perfbench/run.py` exits non-zero when a workload
+#      cannot import what it needs from src/ or a correctness check
+#      fails); performance itself is judged by full-length runs of the
+#      same command against the bounds in BENCHMARK.json
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -21,9 +22,6 @@ export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
-
-echo "== schema: committed BENCH files =="
-python scripts/check_schema.py
 
 echo "== schema: freshly traced+profiled run =="
 TMP_RUN="$(mktemp -d)"
@@ -35,7 +33,10 @@ python scripts/check_schema.py "$TMP_RUN/run"
 echo "== serve smoke =="
 python scripts/serve_smoke.py
 
-echo "== bench gate (dry run) =="
-python scripts/bench_gate.py --dry-run
+echo "== perfbench: helper tests =="
+python3 -m pytest perfbench
+
+echo "== perfbench: smoke run of every workload =="
+python3 perfbench/run.py --workload all --seed 1 --seconds 1
 
 echo "CI passed"

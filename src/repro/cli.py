@@ -211,15 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--run-dir", default=None,
                        help="write serve_stats.json here on shutdown "
                             "(default runs/serve)")
-    serve.add_argument("--bench", action="store_true",
-                       help="skip the server: run the deterministic "
-                            "load generator and append to "
-                            "BENCH_serve.json")
-    serve.add_argument("--bench-requests", type=int, default=256)
-    serve.add_argument("--bench-clients", type=int, default=8)
-    serve.add_argument("--bench-out", default=None,
-                       help="bench log path (default BENCH_serve.json "
-                            "at the repo root)")
 
     serve_report = commands.add_parser(
         "serve-report",
@@ -479,26 +470,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeConfig, ServeDaemon
     from .serve.report import build_report, render_serve_report
     models = _parse_model_args(args.model)
-    if args.bench:
-        from .serve.bench import (append_bench_record, default_bench_path,
-                                  measure_serving)
-        record = measure_serving(
-            artifact_path=Path(models[0][1]) if models else None,
-            n_requests=args.bench_requests, n_clients=args.bench_clients,
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            queue_depth=args.queue_depth)
-        out = Path(args.bench_out) if args.bench_out \
-            else default_bench_path()
-        append_bench_record(out, record)
-        reporter.emit(
-            f"sequential {record['seq_ips']} img/s, "
-            f"{args.bench_clients} clients {record['conc_ips']} img/s "
-            f"(x{record['batch_speedup']}, mean batch "
-            f"{record['mean_batch']}); p50 {record['p50_ms']} ms, "
-            f"p99 {record['p99_ms']} ms")
-        reporter.emit(f"bench record appended to {out}")
-        return 0
-
     config = ServeConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, queue_depth=args.queue_depth,

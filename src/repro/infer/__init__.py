@@ -15,8 +15,6 @@ from .artifact import (ArtifactCache, ArtifactError, CachedArtifact,
                        artifact_to_bytes, build_artifact, collect_bn_stats,
                        default_artifact_cache, export_run, load_artifact,
                        load_artifact_cached, restore_bn_stats, save_artifact)
-from .bench import (append_bench_record, default_bench_path, host_metadata,
-                    measure_inference)
 from .compile import CompileError, Grid, Stage, compile_model, finalize_stage
 from .engine import ArenaExecutor, Program
 from .kernels import (avg_pool_int, conv2d_int, dense_int,
@@ -37,8 +35,6 @@ __all__ = [
     "artifact_to_bytes", "build_artifact", "collect_bn_stats", "export_run",
     "default_artifact_cache", "load_artifact", "load_artifact_cached",
     "restore_bn_stats", "save_artifact",
-    "append_bench_record", "default_bench_path", "host_metadata",
-    "measure_inference",
     "CompileError", "Grid", "Stage", "compile_model", "finalize_stage",
     "ArenaExecutor", "Program",
     "avg_pool_int", "conv2d_int", "dense_int", "depthwise_conv2d_int",

@@ -17,7 +17,14 @@ results:
   dashboard (text + SVG);
 - :mod:`repro.obs.profreport` — ``repro profile <run_dir>`` hotspot
   tables and flame/icicle SVGs over the profile events;
-- :mod:`repro.obs.schema` — validators for event logs and bench files.
+- :mod:`repro.obs.schema` — validators for event logs, checkpoints and
+  serving stats;
+- :mod:`repro.obs.host` — the host metadata stamped next to timings.
+
+Performance itself is measured by the repository benchmark,
+``python3 perfbench/run.py`` (workloads, metrics and regression bounds
+in ``BENCHMARK.json``), which reads its per-layer breakdown from these
+spans and profiler tables.
 
 Enabling ``--trace`` or ``--profile`` must never change a trial result:
 instrumentation only reads values and clocks, never the run's random

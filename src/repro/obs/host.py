@@ -1,20 +1,16 @@
-"""Host fingerprinting shared by the bench logs and the bench gate.
+"""Host metadata stamped next to wall-clock measurements.
 
-Throughput numbers are only comparable between runs of the same machine
-and numeric stack, so every bench record carries this block and
-``scripts/bench_gate.py`` refuses to compare across differing
-fingerprints.  Keys are only ever added, never renamed (the BENCH files
-are append-only contracts).
+A timing only means something on the machine and numeric stack it was
+taken on, so the repository benchmark (``python3 perfbench/run.py``)
+prints this block with every result and the serving daemon records it
+in ``serve_stats.json``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-__all__ = ["host_metadata", "cpu_model", "fingerprint", "compatible"]
-
-#: the keys that must match for two bench records to be comparable
-FINGERPRINT_KEYS = ("cpu", "cpus", "numpy")
+__all__ = ["host_metadata", "cpu_model"]
 
 
 def cpu_model() -> Optional[str]:
@@ -44,30 +40,3 @@ def host_metadata() -> Dict[str, Any]:
         "cpus": os.cpu_count(),
         "cpu": cpu_model(),
     }
-
-
-def fingerprint(host: Optional[Dict[str, Any]]) -> Optional[tuple]:
-    """The comparable subset of a ``host`` block (``None`` if absent).
-
-    Migrated v1 records carry ``host: null`` — they have no fingerprint,
-    so the gate skips them rather than guessing.
-    """
-    if not isinstance(host, dict):
-        return None
-    return tuple(host.get(key) for key in FINGERPRINT_KEYS)
-
-
-def compatible(a: Optional[Dict[str, Any]],
-               b: Optional[Dict[str, Any]]) -> bool:
-    """Whether two host blocks describe the same measurement platform.
-
-    Keys absent from either side are treated as wildcards (older records
-    captured fewer facts); a ``None``/missing block never matches — the
-    caller must skip such records, not compare against them.
-    """
-    if not isinstance(a, dict) or not isinstance(b, dict):
-        return False
-    for key in FINGERPRINT_KEYS:
-        if key in a and key in b and a[key] != b[key]:
-            return False
-    return True

@@ -1,11 +1,12 @@
-"""Validators for run-dir JSONL event logs and ``BENCH_*.json`` files.
+"""Validators for the files a run directory holds.
 
-Both file families are append-only contracts consumed by later PRs (the
-``repro report`` dashboard, the bench trajectory): these validators keep
-them honest.  Each function returns a list of human-readable problems —
-empty means valid — so callers can aggregate across files.
-``scripts/check_schema.py`` is the CLI wrapper; the pytest suite runs the
-same checks as a tier-1 test.
+The JSONL event log (``events.jsonl``) is an append-only contract read
+by ``repro report`` and ``repro profile``; :func:`validate_path` also
+dispatches search checkpoints (``checkpoint.json``) and serving stats
+(``serve_stats.json``) to their owners' validators.  Each function
+returns a list of human-readable problems — empty means valid — so
+callers can aggregate across files.  ``scripts/check_schema.py`` is the
+CLI wrapper; the pytest suite runs the same checks as a tier-1 test.
 """
 
 from __future__ import annotations
@@ -139,180 +140,10 @@ def validate_events_file(path: Union[str, Path]) -> List[str]:
     return [f"{resolved}: {p}" for p in problems]
 
 
-def _bench_contract(filename: str):
-    """(schema version, required record fields) for a ``BENCH_*`` file.
-
-    Each bench family owns its schema; the filename is the dispatch key
-    (``BENCH_infer.json`` → the inference-throughput log,
-    ``BENCH_serve.json`` → the serving load-test log, everything else →
-    the parallel-engine log, the original family).
-    """
-    if filename.startswith("BENCH_infer"):
-        from ..infer.bench import BENCH_SCHEMA_VERSION, RECORD_FIELDS
-    elif filename.startswith("BENCH_serve"):
-        from ..serve.bench import BENCH_SCHEMA_VERSION, RECORD_FIELDS
-    else:
-        from ..parallel.bench import BENCH_SCHEMA_VERSION, RECORD_FIELDS
-    return BENCH_SCHEMA_VERSION, RECORD_FIELDS
-
-
-#: required keys of the ``host`` block in a BENCH_infer v2 record
-INFER_HOST_FIELDS = ("platform", "python", "numpy", "cpus")
-
-#: required keys of the ``host`` block in a BENCH_parallel v2 record
-#: (adds the CPU model, the fingerprint the bench gate keys on)
-PARALLEL_HOST_FIELDS = ("platform", "python", "numpy", "cpus", "cpu")
-
-#: required keys of the ``host`` block in a BENCH_serve v1 record
-#: (born with the full fingerprint — no migration debt)
-SERVE_HOST_FIELDS = PARALLEL_HOST_FIELDS
-
-
-def _validate_infer_run(index: int, run: Dict[str, Any]) -> List[str]:
-    """Typed checks for the v2 fields of one BENCH_infer record.
-
-    Records migrated from schema 1 carry ``None`` (the data was never
-    measured); fresh records must carry well-formed values.
-    """
-    problems: List[str] = []
-    arena = run.get("arena_bytes")
-    if arena is not None and (not isinstance(arena, int)
-                              or isinstance(arena, bool) or arena < 0):
-        problems.append(f"run {index}: arena_bytes must be a non-negative "
-                        f"integer or null, got {arena!r}")
-    allocs = run.get("allocs_per_image")
-    if allocs is not None and (not isinstance(allocs, (int, float))
-                               or isinstance(allocs, bool) or allocs < 0):
-        problems.append(f"run {index}: allocs_per_image must be a "
-                        f"non-negative number or null, got {allocs!r}")
-    host = run.get("host")
-    if host is not None:
-        if not isinstance(host, dict):
-            problems.append(f"run {index}: host must be an object or "
-                            f"null, got {host!r}")
-        else:
-            for field in INFER_HOST_FIELDS:
-                if field not in host:
-                    problems.append(f"run {index}: host missing field "
-                                    f"{field!r}")
-    return problems
-
-
-def _validate_parallel_run(index: int, run: Dict[str, Any]) -> List[str]:
-    """Typed checks for the v2 fields of one BENCH_parallel record.
-
-    Records migrated from schema 1 carry ``host: null`` (the fingerprint
-    was never captured); fresh records must carry a well-formed one.
-    ``host_limited`` flags speedups measured on a single-CPU host, which
-    the bench gate must not compare against multi-core runs.
-    """
-    problems: List[str] = []
-    host = run.get("host")
-    if host is not None:
-        if not isinstance(host, dict):
-            problems.append(f"run {index}: host must be an object or "
-                            f"null, got {host!r}")
-        else:
-            for field in PARALLEL_HOST_FIELDS:
-                if field not in host:
-                    problems.append(f"run {index}: host missing field "
-                                    f"{field!r}")
-    limited = run.get("host_limited")
-    if not isinstance(limited, bool):
-        problems.append(f"run {index}: host_limited must be a bool, "
-                        f"got {limited!r}")
-    return problems
-
-
-def _validate_serve_run(index: int, run: Dict[str, Any]) -> List[str]:
-    """Typed checks for one BENCH_serve v1 record.
-
-    The serve family was born at schema 1 with the full host fingerprint
-    and ``host_limited`` flag, so — unlike the older families — nothing
-    may be null.
-    """
-    problems: List[str] = []
-    host = run.get("host")
-    if not isinstance(host, dict):
-        problems.append(f"run {index}: host must be an object, "
-                        f"got {host!r}")
-    else:
-        for field in SERVE_HOST_FIELDS:
-            if field not in host:
-                problems.append(f"run {index}: host missing field "
-                                f"{field!r}")
-    limited = run.get("host_limited")
-    if not isinstance(limited, bool):
-        problems.append(f"run {index}: host_limited must be a bool, "
-                        f"got {limited!r}")
-    for field in ("seq_s", "conc_s", "seq_ips", "conc_ips",
-                  "batch_speedup", "mean_batch"):
-        value = run.get(field)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or value < 0:
-            problems.append(f"run {index}: {field} must be a non-negative "
-                            f"number, got {value!r}")
-    for field in ("n_requests", "n_clients", "max_batch", "queue_depth",
-                  "shed", "timeouts"):
-        value = run.get(field)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 0:
-            problems.append(f"run {index}: {field} must be a non-negative "
-                            f"integer, got {value!r}")
-    for field in ("p50_ms", "p95_ms", "p99_ms"):
-        value = run.get(field)
-        if value is not None and (not isinstance(value, (int, float))
-                                  or isinstance(value, bool) or value < 0):
-            problems.append(f"run {index}: {field} must be a non-negative "
-                            f"number or null, got {value!r}")
-    return problems
-
-
-def validate_bench(payload: Dict[str, Any],
-                   filename: str = "BENCH_parallel.json") -> List[str]:
-    """Validate a parsed ``BENCH_*.json`` payload."""
-    schema_version, record_fields = _bench_contract(filename)
-    if filename.startswith("BENCH_infer"):
-        validate_run = _validate_infer_run
-    elif filename.startswith("BENCH_serve"):
-        validate_run = _validate_serve_run
-    else:
-        validate_run = _validate_parallel_run
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["bench payload is not a JSON object"]
-    if payload.get("schema") != schema_version:
-        problems.append(f"schema {payload.get('schema')!r} != "
-                        f"{schema_version}")
-    runs = payload.get("runs")
-    if not isinstance(runs, list):
-        return problems + ["'runs' must be a list"]
-    for index, run in enumerate(runs):
-        if not isinstance(run, dict):
-            problems.append(f"run {index}: not a JSON object")
-            continue
-        for field in record_fields:
-            if field not in run:
-                problems.append(f"run {index}: missing field {field!r}")
-        problems.extend(validate_run(index, run))
-    return problems
-
-
-def validate_bench_file(path: Union[str, Path]) -> List[str]:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: unreadable ({exc})"]
-    return [f"{path}: {p}" for p in validate_bench(payload, path.name)]
-
-
 def validate_path(path: Union[str, Path]) -> List[str]:
-    """Dispatch on path shape: bench JSON, checkpoint, event log, or run
-    directory."""
+    """Dispatch on path shape: checkpoint, serving stats, event log, or
+    run directory."""
     path = Path(path)
-    if path.is_file() and path.name.startswith("BENCH"):
-        return validate_bench_file(path)
     if path.is_file() and path.name == "checkpoint.json":
         from ..resilience.checkpoint import validate_checkpoint_file
         return validate_checkpoint_file(path)

@@ -11,17 +11,21 @@ that:
   order or worker count;
 - :mod:`repro.parallel.engine` — a picklable :class:`TrialSpec` /
   :class:`TrialOutcome` worker protocol and the :class:`TrialEngine`
-  process pool (with graceful in-process degradation);
-- :mod:`repro.parallel.bench` — serial-vs-parallel wall-clock measurement
-  with a stable ``BENCH_parallel.json`` record schema.
+  process pool (with graceful in-process degradation).
 
 Candidate *proposal* stays in the parent process: the Bayesian optimizer's
 ``ask_batch(q)`` (constant-liar fantasies) and the evolutionary
 ``ask_batch`` propose q candidates up front, the engine evaluates them in
 parallel, and results are told back in proposal order.
+
+Performance is measured by the repository benchmark
+(``python3 perfbench/run.py``, workloads and bounds in
+``BENCHMARK.json``), whose ``search`` workload reports the run time
+spent outside trials and the optimizer as ``parallel.engine_s``.
+``tests/parallel/test_determinism.py`` asserts that serial and parallel
+runs are bit-identical.
 """
 
-from .bench import append_bench_record, default_bench_path, measure_speedup
 from .engine import (DEFAULT_TRIAL_BATCH, RetryPolicy, TrialEngine,
                      TrialEvaluationError, TrialOutcome, TrialSpec,
                      default_workers)
@@ -31,5 +35,4 @@ __all__ = [
     "TrialEngine", "TrialSpec", "TrialOutcome", "TrialEvaluationError",
     "RetryPolicy", "DEFAULT_TRIAL_BATCH", "default_workers",
     "trial_seed", "trial_rng",
-    "measure_speedup", "append_bench_record", "default_bench_path",
 ]

@@ -22,7 +22,8 @@ both sides of the rename so the fault harness can kill the process at
 either point.
 
 The schema is validated by :func:`validate_checkpoint` (wired into
-``scripts/check_schema.py`` alongside the event-log and bench schemas).
+``scripts/check_schema.py`` alongside the event-log and serving-stats
+schemas).
 """
 
 from __future__ import annotations

@@ -12,8 +12,13 @@ The serving stack, bottom to top:
   control, and graceful drain (``repro serve``);
 - :mod:`~repro.serve.report` — the SLO report over ``serve_stats.json``
   (``repro serve-report``);
-- :mod:`~repro.serve.bench` — the deterministic load generator behind
-  ``BENCH_serve.json``.
+- :mod:`~repro.serve.bench` — a deterministic ``.bomp`` artifact for
+  tests, the smoke script and the benchmark.
+
+Serving latency (queue wait vs. execute per request) is measured by the
+repository benchmark, ``python3 perfbench/run.py`` (its ``infer``
+workload; metrics in ``BENCHMARK.json``), which drives
+:meth:`ServeDaemon.submit` directly.
 """
 
 from .batcher import BatchWorker, ModelRuntime

@@ -20,8 +20,11 @@ Endpoints (all JSON)::
     GET    /v1/stats                    metrics snapshot (SLO source)
 
 Admission failures map to HTTP status codes (429 shed, 503 draining,
-404 unknown model, 504 deadline exceeded, 400 malformed), so clients
-can tell backpressure from brokenness.
+404 unknown model, 504 deadline exceeded, 400 malformed, 413 body over
+:data:`MAX_BODY_BYTES`), so clients can tell backpressure from
+brokenness.  Malformed input — bad framing, a non-finite image, a
+``timeout_ms`` that is not a positive number — is answered at the HTTP
+boundary and never reaches a queue.
 
 Lifecycle: :meth:`ServeDaemon.shutdown` with ``drain=True`` (what the
 CLI's SIGTERM handler calls) closes every queue first — new work is
@@ -50,10 +53,14 @@ from .queueing import (AdmissionError, RequestTimeout, ServeRequest,
 from .batcher import ModelRuntime
 from .registry import ModelRegistry, RegistryError
 
-#: serve_stats.json schema version (append-only, like the BENCH files)
+#: serve_stats.json schema version (append-only: keys are only added)
 STATS_SCHEMA_VERSION = 1
 
 STATS_FILENAME = "serve_stats.json"
+
+#: largest request body the front end reads; a longer ``Content-Length``
+#: is answered 413 without reading the body
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -273,6 +280,22 @@ class ServeDaemon:
 
 # -- the HTTP protocol ------------------------------------------------------
 
+def _timeout_seconds(timeout_ms: Any) -> Optional[float]:
+    """A request's ``timeout_ms`` in seconds; ``None`` unless it is a
+    finite positive number (not a bool) that a thread can wait on."""
+    if isinstance(timeout_ms, bool) \
+            or not isinstance(timeout_ms, (int, float)):
+        return None
+    try:
+        seconds = float(timeout_ms) / 1000.0
+    except OverflowError:                  # an int beyond float range
+        return None
+    # the handler waits twice the deadline; NaN fails both comparisons
+    if not 0.0 < seconds <= threading.TIMEOUT_MAX / 2:
+        return None
+    return seconds
+
+
 def _make_handler(daemon: ServeDaemon):
     """A handler class closed over ``daemon`` (stdlib handler API)."""
 
@@ -289,18 +312,40 @@ def _make_handler(daemon: ServeDaemon):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def _error(self, status: int, message: str) -> None:
             self._send(status, {"error": message})
 
+        def _reject_body(self, status: int, message: str) -> None:
+            """Answer without reading the body, then hang up: the next
+            request on this connection cannot be found."""
+            self.close_connection = True
+            self._error(status, message)
+
         def _read_json(self) -> Optional[Dict[str, Any]]:
-            length = int(self.headers.get("Content-Length", 0) or 0)
+            text = (self.headers.get("Content-Length") or "0").strip()
+            if not (text.isascii() and text.isdigit()):
+                self._reject_body(400, f"Content-Length must be a "
+                                       f"non-negative integer, got "
+                                       f"{text!r}")
+                return None
+            # int() refuses digit strings thousands long; one longer
+            # than the cap's own is over the cap anyway
+            digits = text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_BODY_BYTES)) \
+                    or int(digits) > MAX_BODY_BYTES:
+                self._reject_body(413, f"Content-Length exceeds the "
+                                       f"{MAX_BODY_BYTES}-byte limit")
+                return None
+            length = int(digits)
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 payload = json.loads(raw.decode() or "{}")
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            except ValueError:    # bad JSON or UTF-8, or an int too long
                 self._error(400, "body is not valid JSON")
                 return None
             if not isinstance(payload, dict):
@@ -391,9 +436,16 @@ def _make_handler(daemon: ServeDaemon):
                                  f"{list(shape)}, got "
                                  f"{list(images.shape)}")
                 return
-            timeout_ms = payload.get("timeout_ms",
-                                     daemon.config.default_timeout_ms)
-            timeout_s = float(timeout_ms) / 1000.0
+            if not np.isfinite(images).all():
+                self._error(400, "'inputs' must be finite (no NaN or "
+                                 "infinity)")
+                return
+            timeout_s = _timeout_seconds(payload.get(
+                "timeout_ms", daemon.config.default_timeout_ms))
+            if timeout_s is None:
+                self._error(400, "'timeout_ms' must be a finite positive "
+                                 "number")
+                return
             try:
                 requests = [daemon.submit(name, image,
                                           timeout_s=timeout_s)

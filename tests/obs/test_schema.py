@@ -1,17 +1,16 @@
-"""Schema validation for event logs and BENCH files (tier-1 guard).
+"""Schema validation for event logs (tier-1 guard).
 
-Also runs ``scripts/check_schema.py`` against the repo's committed
-``BENCH_*.json`` files, so a malformed bench record fails the suite.
+Also runs ``scripts/check_schema.py`` against a real traced run and a
+malformed event log, so a schema break in either fails the suite.
 """
 
-import json
+import subprocess
+import sys
 from pathlib import Path
 
-import pytest
-
-from repro.obs.schema import (validate_bench, validate_events,
-                              validate_events_file, validate_path)
-from repro.obs.trace import read_events
+from repro.obs.host import host_metadata
+from repro.obs.schema import validate_events, validate_events_file
+from repro.obs.trace import EVENTS_FILENAME, read_events
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -73,31 +72,53 @@ class TestTracedRunValidates:
         assert validate_events(read_events(run_dir)) == []
 
 
-class TestBenchValidation:
-    def test_committed_bench_files_validate(self):
-        bench_files = sorted(REPO_ROOT.glob("BENCH_*.json"))
-        assert bench_files, "expected committed BENCH_*.json files"
-        for path in bench_files:
-            assert validate_path(path) == [], f"{path} failed validation"
+class TestSchemaProfileEvents:
+    def test_valid_profile_event(self):
+        event = {"type": "profile", "scope": "kernel",
+                 "name": "nn.conv2d.fwd", "phase": "train",
+                 "mode": "time", "trial": 0, "calls": 3, "excl_s": 0.1,
+                 "incl_s": 0.2, "allocs": None, "peak_bytes": None,
+                 "net_bytes": None, "tags": {}}
+        assert validate_events([event]) == []
 
-    def test_bad_bench_payload_flagged(self):
-        assert validate_bench({"schema": 99, "runs": [{}]})
-        assert validate_bench({"schema": 1, "runs": "nope"})
+    def test_bad_scope_and_counts_flagged(self):
+        problems = validate_events([
+            {"type": "profile", "scope": "bogus", "name": "k",
+             "phase": "", "mode": "time", "trial": None, "calls": -1,
+             "excl_s": -0.5, "incl_s": 0.0, "tags": {}}])
+        assert any("scope" in p for p in problems)
+        assert any("calls" in p for p in problems)
+        assert any("excl_s" in p for p in problems)
 
-    def test_check_schema_script_passes(self):
-        import subprocess, sys
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts/check_schema.py")],
+    def test_unknown_type_still_flagged(self):
+        assert validate_events([{"type": "bogus"}])
+
+
+class TestHostMetadata:
+    def test_metadata_has_host_keys(self):
+        host = host_metadata()
+        for key in ("platform", "python", "numpy", "cpus", "cpu"):
+            assert key in host
+
+
+class TestCheckSchemaScript:
+    def _run(self, *paths):
+        return subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts/check_schema.py"),
+             *map(str, paths)],
             capture_output=True, text=True, cwd=REPO_ROOT)
+
+    def test_check_schema_script_passes(self, traced_run):
+        run_dir, _ = traced_run
+        proc = self._run(run_dir)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "ok" in proc.stdout
 
     def test_check_schema_script_fails_on_bad_file(self, tmp_path):
-        import subprocess, sys
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps({"schema": 99, "runs": []}))
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts/check_schema.py"),
-             str(bad)],
-            capture_output=True, text=True, cwd=REPO_ROOT)
+        bad = tmp_path / EVENTS_FILENAME
+        bad.write_text('{"type": "meta", "schema": 99}\n'
+                       '{"type": "span", "kind": "phase"}\n'
+                       'not json\n')
+        proc = self._run(bad)
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout

@@ -1,8 +1,10 @@
 """Daemon end-to-end: HTTP protocol, admission statuses, graceful drain."""
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from repro.obs.schema import validate_path
 from repro.serve import (ModelDraining, QueueFullError, ServeConfig,
                          ServeDaemon, UnknownModel)
-from repro.serve.daemon import STATS_FILENAME
+from repro.serve.daemon import MAX_BODY_BYTES, STATS_FILENAME
 
 from .conftest import IMAGE_SIZE
 
@@ -48,6 +50,23 @@ def post(url, payload):
         return error.code, json.loads(error.read())
 
 
+def post_raw(url, body=b"", content_length=None):
+    """POST raw bytes; ``content_length`` overrides the true length."""
+    parts = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port,
+                                            timeout=30)
+    try:
+        connection.putrequest("POST", parts.path)
+        connection.putheader("Content-Length", content_length
+                             if content_length is not None
+                             else str(len(body)))
+        connection.endheaders(body or None)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 class TestHTTP:
     def test_healthz_and_models(self, base_url):
         status, health = get(base_url + "/healthz")
@@ -69,14 +88,45 @@ class TestHTTP:
         assert status == 200 and body["batch"] == 5
         assert len(body["logits"]) == 5 and len(body["logits"][0]) == 10
 
-    def test_predict_rejects_bad_inputs(self, base_url):
-        status, body = post(base_url + "/v1/models/m/predict",
-                            {"inputs": [[1, 2], [3]]})
+    def test_predict_rejects_bad_inputs(self, base_url, serve_images,
+                                        serve_reference_program):
+        url = base_url + "/v1/models/m/predict"
+        status, body = post(url, {"inputs": [[1, 2], [3]]})
         assert status == 400 and "numeric array" in body["error"]
         wrong = np.zeros((2, IMAGE_SIZE + 1, IMAGE_SIZE, 3)).tolist()
-        status, body = post(base_url + "/v1/models/m/predict",
-                            {"inputs": wrong})
+        status, body = post(url, {"inputs": wrong})
         assert status == 400 and "expected images" in body["error"]
+        # malformed framing: answered, never a dropped connection
+        for length in ("abc", "-1", "1.5", "0x10"):
+            status, body = post_raw(url, content_length=length)
+            assert status == 400 and "Content-Length" in body["error"]
+        for length in (str(MAX_BODY_BYTES + 1), "9" * 5000):
+            status, body = post_raw(url, content_length=length)
+            assert status == 413 and "limit" in body["error"]
+        # an integer too long for int() is not valid JSON either
+        status, body = post_raw(url, b'{"timeout_ms": ' + b"9" * 5000 + b"}")
+        assert status == 400 and "JSON" in body["error"]
+        # non-finite images pass the shape check but not the boundary
+        for value in (float("nan"), float("inf")):
+            image = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), value).tolist()
+            status, body = post(url, {"inputs": image})
+            assert status == 400 and "finite" in body["error"]
+        image = serve_images[0].tolist()
+        for timeout_ms in ("abc", None, True, 0, -5, float("nan"),
+                           float("inf"), 10 ** 400):
+            status, body = post(url, {"inputs": image,
+                                      "timeout_ms": timeout_ms})
+            assert status == 400 and "timeout_ms" in body["error"], \
+                timeout_ms
+        # the daemon still serves, with exact answers
+        status, body = post(url, {"inputs": serve_images[:3].tolist(),
+                                  "timeout_ms": 30_000,
+                                  "return_logits": True})
+        assert status == 200
+        reference = serve_reference_program.run(serve_images[:3],
+                                                batch_size=3)
+        assert np.array_equal(np.asarray(body["logits"],
+                                         dtype=np.float32), reference)
 
     def test_unknown_model_404(self, base_url, serve_images):
         status, _ = post(base_url + "/v1/models/ghost/predict",
