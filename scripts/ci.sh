@@ -9,7 +9,10 @@
 #      (exercises the full span/metric/profile event surface)
 #   3. serving smoke test (HTTP round trip against a live daemon,
 #      concurrent clients, bit-identity vs serial inference, clean drain)
-#   4. the repository benchmark's helper tests and a one-second run of
+#   4. `repro infer --parity` on a freshly built bench artifact: every
+#      teacher-forced segment of the arena executor within its LSB
+#      budget of the fake-quant reference, through the CLI
+#   5. the repository benchmark's helper tests and a one-second run of
 #      every workload (`perfbench/run.py` exits non-zero when a workload
 #      cannot import what it needs from src/ or a correctness check
 #      fails); performance itself is judged by full-length runs of the
@@ -32,6 +35,12 @@ python scripts/check_schema.py "$TMP_RUN/run"
 
 echo "== serve smoke =="
 python scripts/serve_smoke.py
+
+echo "== infer: CLI parity on a bench artifact =="
+python -c "import sys; from pathlib import Path; \
+from repro.serve.bench import make_bench_artifact; \
+make_bench_artifact(Path(sys.argv[1]))" "$TMP_RUN/bench.bomp"
+python -m repro infer "$TMP_RUN/bench.bomp" --parity --limit 64
 
 echo "== perfbench: helper tests =="
 python3 -m pytest perfbench

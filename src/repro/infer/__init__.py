@@ -15,11 +15,11 @@ from .artifact import (ArtifactCache, ArtifactError, CachedArtifact,
                        artifact_to_bytes, build_artifact, collect_bn_stats,
                        default_artifact_cache, export_run, load_artifact,
                        load_artifact_cached, restore_bn_stats, save_artifact)
-from .compile import CompileError, Grid, Stage, compile_model, finalize_stage
+from .compile import CompileError, Grid, Stage, compile_model
 from .engine import ArenaExecutor, Program
 from .kernels import (avg_pool_int, conv2d_int, dense_int,
                       depthwise_conv2d_int, global_avg_pool_int,
-                      max_pool_int, set_check_dtypes)
+                      max_pool_int)
 from .parity import ParityReport, StageParity, capture_reference, check_parity
 from .plan import (ArenaPlan, Interval, Slot, liveness_intervals, peak_liveness,
                    plan_arena)
@@ -35,10 +35,10 @@ __all__ = [
     "artifact_to_bytes", "build_artifact", "collect_bn_stats", "export_run",
     "default_artifact_cache", "load_artifact", "load_artifact_cached",
     "restore_bn_stats", "save_artifact",
-    "CompileError", "Grid", "Stage", "compile_model", "finalize_stage",
+    "CompileError", "Grid", "Stage", "compile_model",
     "ArenaExecutor", "Program",
     "avg_pool_int", "conv2d_int", "dense_int", "depthwise_conv2d_int",
-    "global_avg_pool_int", "max_pool_int", "set_check_dtypes",
+    "global_avg_pool_int", "max_pool_int",
     "ParityReport", "StageParity", "capture_reference", "check_parity",
     "ArenaPlan", "Interval", "Slot", "liveness_intervals", "peak_liveness",
     "plan_arena",

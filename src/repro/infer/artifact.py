@@ -102,7 +102,11 @@ class DeployableArtifact:
         model = build_model(self.genome.arch, self.num_classes,
                             rng=np.random.default_rng(0))
         restore_bn_stats(model, self.bn_stats)
-        rebuild_into(model, self.container)
+        try:
+            rebuild_into(model, self.container)
+        except (struct.error, ValueError, IndexError) as exc:
+            raise ArtifactError(f"malformed quant container: {exc}") \
+                from exc
         model.set_training(False)
         return model
 
@@ -145,34 +149,47 @@ def artifact_to_bytes(artifact: DeployableArtifact) -> bytes:
 
 
 def artifact_from_bytes(data: bytes) -> DeployableArtifact:
-    """Inverse of :func:`artifact_to_bytes`."""
+    """Inverse of :func:`artifact_to_bytes`.
+
+    Raises :class:`ArtifactError` for any input it cannot parse.
+    """
     from ..nas.trial import genome_from_dict
     stream = io.BytesIO(data)
     if stream.read(len(ARTIFACT_MAGIC)) != ARTIFACT_MAGIC:
         raise ArtifactError("not a BOMP deployment artifact")
-    (version,) = struct.unpack("<I", stream.read(4))
+
+    def read(length: int) -> bytes:
+        chunk = stream.read(length)
+        if len(chunk) != length:
+            raise ArtifactError("truncated artifact")
+        return chunk
+
+    (version,) = struct.unpack("<I", read(4))
     if version != ARTIFACT_VERSION:
         raise ArtifactError(f"unsupported artifact version {version}")
-
-    def read_blob() -> bytes:
-        (length,) = struct.unpack("<I", stream.read(4))
-        blob = stream.read(length)
-        if len(blob) != length:
-            raise ArtifactError("truncated artifact")
-        return blob
-
-    header = json.loads(read_blob().decode())
-    container = read_blob()
-    with np.load(io.BytesIO(read_blob())) as archive:
-        bn_stats = {key: archive[key] for key in archive.files}
-    return DeployableArtifact(
-        genome=genome_from_dict(header["genome"]),
-        num_classes=int(header["num_classes"]),
-        image_size=int(header["image_size"]),
-        in_channels=int(header.get("in_channels", 3)),
-        container=container, bn_stats=bn_stats,
-        dataset_spec=header.get("dataset_spec"),
-        meta=header.get("meta", {}))
+    header_bytes, container, npz = (read(struct.unpack("<I", read(4))[0])
+                                    for _ in range(3))
+    try:
+        with np.load(io.BytesIO(npz)) as archive:
+            bn_stats = {key: archive[key] for key in archive.files}
+    except Exception as exc:
+        # corrupt zip framing, CRCs, flags or npy headers surface as
+        # errors from zipfile, zlib, numpy and tokenize alike
+        raise ArtifactError(f"malformed BN-stats archive: {exc!r}") \
+            from exc
+    try:
+        header = json.loads(header_bytes.decode())
+        return DeployableArtifact(
+            genome=genome_from_dict(header["genome"]),
+            num_classes=int(header["num_classes"]),
+            image_size=int(header["image_size"]),
+            in_channels=int(header.get("in_channels", 3)),
+            container=container, bn_stats=bn_stats,
+            dataset_spec=header.get("dataset_spec"),
+            meta=header.get("meta", {}))
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
+        raise ArtifactError(f"malformed artifact header: {exc!r}") from exc
 
 
 def save_artifact(artifact: DeployableArtifact,
@@ -192,10 +209,10 @@ def load_artifact(path: Union[str, Path]) -> DeployableArtifact:
 class CachedArtifact:
     """One compiled ``.bomp`` entry: the immutable share-everything unit.
 
-    ``program`` is compiled once per *content* and then shared — stages
-    are finalized at compile time and never mutated afterwards, so any
-    number of threads may build private
-    :class:`~repro.infer.engine.ArenaExecutor` instances over it.
+    ``program`` is compiled once per *content* and then shared by any
+    number of threads: it is frozen, and an executor belongs to one
+    thread (:meth:`~repro.infer.engine.Program.executor` keeps one per
+    calling thread).
     """
 
     digest: str

@@ -59,7 +59,7 @@ class CompileError(ValueError):
     """The model cannot be lowered to an integer program."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     """One affine activation grid: ``value = (code - zero_point) * scale``."""
 
@@ -68,9 +68,15 @@ class Grid:
     n_levels: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Stage:
-    """One compiled op: all-integer parameters plus report metadata."""
+    """One compiled op: all-integer parameters plus report metadata.
+
+    Immutable once built: the fused execution operands (``w2d``,
+    ``bias_fused``, ``rq``, ``res_rq``) are derived from the reference
+    fields at construction, and every array is read-only, so one stage
+    can be shared by any number of executors and threads.
+    """
 
     name: str
     kind: str                     # conv | dw | dense | gap | avgpool | maxpool | flatten
@@ -105,60 +111,54 @@ class Stage:
     weight_bits: int = 0
     weight_count: int = 0
     out_channels: int = 0
-    # -- fused execution plan (filled by finalize_stage) ---------------------
+    # -- fused execution operands (derived at construction) ------------------
     #: contraction-ready 2-D weight view ``(c*kh*kw, cout)`` (conv/dense)
-    w2d: Optional[np.ndarray] = None
+    w2d: Optional[np.ndarray] = field(default=None, init=False)
     #: ``bias_acc - in_zp * colsum(weight)``: folding the input zero point
     #: into the bias lets the engine contract *raw* codes (padding with
     #: ``in_zp``) instead of shifting every activation tensor first —
     #: exactly equal mod 2**32, i.e. bit-identical under int32 arithmetic
-    bias_fused: Optional[np.ndarray] = None
+    bias_fused: Optional[np.ndarray] = field(default=None, init=False)
     #: fused requantization operands for the output multiplier set
-    rq: Optional[RequantPlan] = None
+    rq: Optional[RequantPlan] = field(default=None, init=False)
     #: fused requantization operands for the residual multiplier
-    res_rq: Optional[RequantPlan] = None
+    res_rq: Optional[RequantPlan] = field(default=None, init=False)
 
-
-def finalize_stage(stage: Stage) -> Stage:
-    """Precompute the fused-execution operands of one stage, in place.
-
-    Everything the planned executor needs beyond the reference fields:
-    the weight reshaped once into its contraction layout, the input zero
-    point folded into the bias (``matmul(x - zp, w) == matmul(x, w) -
-    zp * colsum(w)`` exactly, including under int32 wraparound), and the
-    requantization multipliers decomposed into
-    :class:`~repro.infer.requant.RequantPlan` operand arrays.  Idempotent
-    and cheap; ``compile_model`` calls it eagerly, the executor calls it
-    defensively for hand-built programs.
-    """
-    if stage.rq is None and stage.mult is not None:
-        stage.rq = RequantPlan.build(stage.mult, stage.shift)
-    if stage.res_rq is None and stage.residual_from is not None:
-        stage.res_rq = RequantPlan.build(stage.res_mult, stage.res_shift)
-    if stage.bias_fused is None and stage.weight is not None:
-        w = stage.weight
-        if stage.kind == "conv":
-            kernel = w.shape[0]
-            cout = w.shape[3]
-            if kernel == 1:
-                stage.w2d = np.ascontiguousarray(
-                    w.reshape(w.shape[2], cout), dtype=np.int32)
-            else:
-                stage.w2d = np.ascontiguousarray(
-                    w.transpose(2, 0, 1, 3).reshape(-1, cout),
+    def __post_init__(self) -> None:
+        derived = {}
+        if self.mult is not None:
+            derived["rq"] = RequantPlan.build(self.mult, self.shift)
+        if self.residual_from is not None:
+            derived["res_rq"] = RequantPlan.build(self.res_mult,
+                                                  self.res_shift)
+        w = self.weight
+        if w is not None:
+            if self.kind == "conv":
+                # im2col row order (c, kh, kw); a 1x1 kernel is just (c, cout)
+                derived["w2d"] = np.ascontiguousarray(
+                    w.transpose(2, 0, 1, 3).reshape(-1, w.shape[3]),
                     dtype=np.int32)
-            colsum = w.sum(axis=(0, 1, 2), dtype=np.int64)
-        elif stage.kind == "dw":
-            colsum = w.sum(axis=(0, 1), dtype=np.int64)
-        else:  # dense
-            stage.w2d = np.ascontiguousarray(w, dtype=np.int32)
-            colsum = w.sum(axis=0, dtype=np.int64)
-        bias = (stage.bias_acc.astype(np.int64)
-                if stage.bias_acc is not None
-                else np.zeros_like(colsum))
-        stage.bias_fused = (bias - np.int64(stage.in_zp)
-                            * colsum).astype(np.int32)
-    return stage
+                colsum = w.sum(axis=(0, 1, 2), dtype=np.int64)
+            elif self.kind == "dw":
+                colsum = w.sum(axis=(0, 1), dtype=np.int64)
+            else:  # dense
+                derived["w2d"] = np.ascontiguousarray(w, dtype=np.int32)
+                colsum = w.sum(axis=0, dtype=np.int64)
+            bias = (self.bias_acc.astype(np.int64)
+                    if self.bias_acc is not None
+                    else np.zeros_like(colsum))
+            derived["bias_fused"] = (bias - np.int64(self.in_zp)
+                                     * colsum).astype(np.int32)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        arrays = [self.weight, self.mult, self.shift, self.bias_acc,
+                  self.out_scale, self.out_bias, self.w2d, self.bias_fused]
+        for plan in (self.rq, self.res_rq):
+            if plan is not None:
+                arrays += [plan.q, plan.spos, plan.sneg, plan.half]
+        for array in arrays:
+            if isinstance(array, np.ndarray):   # numpy scalars are immutable
+                array.flags.writeable = False
 
 
 # -- intermediate units -------------------------------------------------------
@@ -276,7 +276,7 @@ def _weight_codes(layer) -> Tuple[np.ndarray, np.ndarray, int]:
 
 def _conv_stage(unit: _ConvUnit, grid_in: Grid, grid_out: Grid,
                 in_shape: Tuple[int, ...], deferred: bool,
-                res_grid: Optional[Grid]) -> Stage:
+                res_grid: Optional[Grid], save_input: bool) -> Stage:
     layer = unit.layer
     codes, w_scales, bits = _weight_codes(layer)
     axis = layer.weight_channel_axis
@@ -312,30 +312,33 @@ def _conv_stage(unit: _ConvUnit, grid_in: Grid, grid_out: Grid,
     if unit.act == "relu6":
         hi = min(hi, zp_y + int(np.round(6.0 / grid_out.scale)))
 
+    residual = {}
+    round_steps = 2  # output requantize + bias fold
+    if unit.residual_src is not None:
+        if res_grid is None:
+            raise CompileError(f"{layer.name}: residual grid unresolved")
+        res_mult, res_shift = quantize_multipliers(
+            np.array([res_grid.scale / grid_out.scale]))
+        residual = dict(residual_from=unit.residual_src,
+                        res_mult=int(res_mult[0]),
+                        res_shift=int(res_shift[0]),
+                        res_zp=res_grid.zero_point)
+        round_steps += 2  # residual requantize + its input-quant error
+
     depthwise = isinstance(layer, DepthwiseConv2D)
     h, w = in_shape[0], in_shape[1]
     out_h = F.conv_output_size(h, layer.kernel, layer.stride, layer.padding)
     out_w = F.conv_output_size(w, layer.kernel, layer.stride, layer.padding)
-    stage = Stage(
+    return Stage(
         name=layer.name, kind="dw" if depthwise else "conv",
         in_shape=tuple(in_shape), out_shape=(out_h, out_w, cout),
         macs=layer.macs(h, w),
         weight=codes, stride=layer.stride, padding=layer.padding,
         in_zp=grid_in.zero_point, mult=mults, shift=shifts,
         bias_acc=bias_acc, out_zp=zp_y, clamp_lo=int(lo), clamp_hi=int(hi),
-        weight_bits=bits, weight_count=int(codes.size), out_channels=cout,
-        round_steps=2)  # output requantize + bias fold
-    if unit.residual_src is not None:
-        if res_grid is None:
-            raise CompileError(f"{layer.name}: residual grid unresolved")
-        stage.residual_from = unit.residual_src
-        stage.res_mult, stage.res_shift = quantize_multipliers(
-            np.array([res_grid.scale / grid_out.scale]))
-        stage.res_mult = int(stage.res_mult[0])
-        stage.res_shift = int(stage.res_shift[0])
-        stage.res_zp = res_grid.zero_point
-        stage.round_steps += 2  # residual requantize + its input-quant error
-    return stage
+        save_input=save_input, weight_bits=bits,
+        weight_count=int(codes.size), out_channels=cout,
+        round_steps=round_steps, **residual)
 
 
 def _dense_stage(unit: _DenseUnit, grid_in: Grid,
@@ -402,6 +405,10 @@ def compile_model(model: Sequential, image_size: int,
     in_channels = first.in_channels
     in_shape: Tuple[int, ...] = (image_size, image_size, in_channels)
 
+    # stage k is unit k; a residual source saves its input for a later add
+    saved = {unit.residual_src for unit in units
+             if isinstance(unit, _ConvUnit) and unit.residual_src is not None}
+
     stages: List[Stage] = []
     for k, unit in enumerate(units):
         if isinstance(unit, _DenseUnit):
@@ -414,19 +421,14 @@ def compile_model(model: Sequential, image_size: int,
                         and units[k + 1].kind in ("gap", "avgpool"))
             res_grid = (grids[unit.residual_src]
                         if unit.residual_src is not None else None)
-            stage = _conv_stage(unit, grids[k], grid_out, in_shape,
-                                deferred, res_grid)
-            if unit.residual_src is not None:
-                stages[unit.residual_src].save_input = True
-            stages.append(stage)
+            stages.append(_conv_stage(unit, grids[k], grid_out, in_shape,
+                                      deferred, res_grid, k in saved))
         else:
             # pools carry the grid of the next quantized consumer
             next_pos = min(p for p in conv_positions if p > k)
             stages.append(_pool_stage(unit, grids[next_pos], in_shape))
         in_shape = stages[-1].out_shape
 
-    for stage in stages:
-        finalize_stage(stage)
     return Program(stages=stages, input_grid=grids[conv_positions[0]],
                    image_size=image_size, in_channels=in_channels,
                    name=name)

@@ -8,33 +8,33 @@ convolutions, bias adds, requantization, activation clamps, residual
 adds, pooling — is integer-only, which the parity suite enforces by
 monkeypatch-forbidding float ``np.matmul`` during execution.
 
-Two execution paths share the same compiled stages and produce
-bit-identical results (a property the test suite checks across policies,
-stage types and batch shapes):
+:class:`ArenaExecutor` is the engine behind :meth:`Program.run`.  It
+places every inter-stage tensor at a fixed offset in one preallocated
+int32 arena (liveness-planned by :mod:`repro.infer.plan`), contracts raw
+codes with the input zero point folded into the bias, gathers im2col
+patches into one reused cache-blocked workspace, and applies requantize
++ zero-point add + clamp as a single fused in-place pass.  Steady-state
+batches perform no ndarray allocations.  The parity harness verifies
+this same path through :meth:`ArenaExecutor.step`.
 
-- :meth:`Program.run` / :meth:`Program.run_batch` — the **planned hot
-  path**.  An :class:`ArenaExecutor` places every inter-stage tensor at
-  a fixed offset in one preallocated int32 arena (liveness-planned by
-  :mod:`repro.infer.plan`), contracts raw codes with the input zero
-  point folded into the bias, gathers im2col patches into one reused
-  cache-blocked workspace, and applies requantize + zero-point add +
-  clamp as a single fused in-place pass.  Steady-state batches perform
-  no ndarray allocations.
-- :meth:`Program.run_stage` / :meth:`Program.run_range` — the
-  **fresh-allocation reference**, kept deliberately simple; the parity
-  harness teacher-forces segments through it.
+:meth:`Program.run_stage` / :meth:`Program.run_batch_reference` is a
+deliberately simple fresh-allocation interpreter, kept only as the
+bit-identity oracle that the tests and the benchmark compare against.
+
+Threading: a :class:`Program` is immutable and may be shared by any
+number of threads; an executor belongs to one thread.
 
 Execution is instrumented with :mod:`repro.obs`: a span per batch, a span
 per stage (op kind and output shape in the tags), and counters for
-images, MACs, fused-requant invocations, steady-state allocations, plus
-an ``infer.arena_bytes`` gauge when an executor is built.
+images, MACs and fused-requant invocations, plus an
+``infer.arena_bytes`` gauge when an executor is built.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,16 +42,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..nn import functional as F
 from ..obs import profile as prof
 from ..obs.trace import get_recorder
-from .compile import Grid, Stage, finalize_stage
-from .kernels import (DEBUG_CHECKS, avg_pool_int, conv2d_int, dense_int,
+from .compile import Grid, Stage
+from .kernels import (avg_pool_int, conv2d_int, dense_int,
                       depthwise_conv2d_int, global_avg_pool_int,
                       max_pool_int)
 from .plan import ArenaPlan, plan_arena
 from .requant import requantize, requantize_into
 
-#: im2col workspace target (KiB); bounds the cache-blocked GEMM tiles
-BLOCK_KB_ENV = "BOMP_INFER_BLOCK_KB"
-DEFAULT_BLOCK_KB = 512
+#: int32 elements in one im2col workspace block (512 KiB); bounds the
+#: cache-blocked GEMM tiles
+BLOCK_ELEMS = 512 * 1024 // 4
 
 
 class ArenaExecutor:
@@ -70,6 +70,8 @@ class ArenaExecutor:
     - ``fin`` / ``fout`` — float scratch for the two boundary steps.
 
     Short final batches execute on prefix views of the same buffers.
+    Every batch rewrites those buffers, so an executor belongs to one
+    thread.
     """
 
     def __init__(self, program: "Program", batch_size: int) -> None:
@@ -81,23 +83,16 @@ class ArenaExecutor:
         self.batch = int(batch_size)
         if self.batch < 1:
             raise ValueError("batch size must be >= 1")
-        for stage in program.stages:
-            finalize_stage(stage)
         self.plan: ArenaPlan = plan_arena(program.stages)
-        block_kb = int(os.environ.get(BLOCK_KB_ENV, DEFAULT_BLOCK_KB))
-        self._block_elems = max(1, block_kb * 1024 // 4)
 
         self.alloc_count = 0          # buffer allocations (all at build)
         self.alloc_bytes = 0
-        self.runtime_allocs = 0       # allocations after build — stays 0
         self.fused_requant_calls = 0
-        self._built = False
 
         self._records = [self._make_record(i, stage)
                          for i, stage in enumerate(program.stages)]
         self._allocate_buffers()
         self._views: Dict[int, Dict[int, np.ndarray]] = {}
-        self._built = True
         recorder = get_recorder()
         if recorder.enabled:
             recorder.gauge("infer.arena_bytes", self.alloc_bytes)
@@ -107,13 +102,11 @@ class ArenaExecutor:
         buf = np.empty(max(int(elems), 0), dtype=dtype)
         self.alloc_count += 1
         self.alloc_bytes += buf.nbytes
-        if self._built:
-            self.runtime_allocs += 1
         return buf
 
     def _make_record(self, index: int, stage: Stage) -> Dict:
-        rec: Dict = {"stage": stage, "index": index,
-                     "in_value": index - 1, "out_value": index}
+        rec: Dict = {"stage": stage, "in_value": index - 1,
+                     "out_value": index}
         if stage.kind in ("conv", "dw"):
             h, w, cin = stage.in_shape
             ho, wo, cout = stage.out_shape
@@ -130,14 +123,15 @@ class ArenaExecutor:
                                 w + pad_w[0] + pad_w[1])
             rec["needs_pad"] = pad_h != (0, 0) or pad_w != (0, 0)
             if stage.kind == "conv":
-                ckk = cin if kernel == 1 else stage.w2d.shape[0]
+                ckk = stage.w2d.shape[0]      # cin * kernel * kernel
                 per_image = rec["rows_per_image"] * ckk
                 rec["ckk"] = ckk
                 rec["block_imgs"] = max(
-                    1, min(self.batch, self._block_elems // max(per_image,
-                                                               1)))
+                    1, min(self.batch, BLOCK_ELEMS // max(per_image, 1)))
         elif stage.kind in ("avgpool", "maxpool"):
             rec["pool"] = stage.pool
+        elif stage.kind not in ("dense", "gap", "flatten"):
+            raise ValueError(f"unknown stage kind {stage.kind!r}")
         return rec
 
     def _allocate_buffers(self) -> None:
@@ -162,8 +156,7 @@ class ArenaExecutor:
                     ph, pw = rec["padded_hw"]
                     pad = max(pad, B * ph * pw * stage.in_shape[2])
                 acc32 = max(acc32, B * rpi * cout)
-                rows = max(1, min(B * rpi,
-                                  self._block_elems // max(cout, 1)))
+                rows = max(1, min(B * rpi, BLOCK_ELEMS // max(cout, 1)))
                 rec["block_rows"] = rows
                 work = max(work, rows * cout)
                 if stage.residual_from is not None:
@@ -187,6 +180,9 @@ class ArenaExecutor:
         self.fout = self._new(self._fout_elems, np.float64)
 
     def _views_for(self, n: int) -> Dict[int, np.ndarray]:
+        if n > self.batch:
+            raise ValueError(f"batch {n} exceeds planned capacity "
+                             f"{self.batch}")
         views = self._views.get(n)
         if views is None:
             B = self.batch
@@ -203,13 +199,39 @@ class ArenaExecutor:
     def run_batch_into(self, x: np.ndarray, logits: np.ndarray) -> None:
         """Execute one batch of float images into a float32 logits view."""
         n = int(x.shape[0])
-        if n > self.batch:
-            raise ValueError(f"batch {n} exceeds planned capacity "
-                             f"{self.batch}")
         views = self._views_for(n)
         self._quantize_input(x, views[-1])
+        self._run_stages(views, n, 0, len(self._records), logits)
+
+    def step(self, codes: np.ndarray, start: int, stop: int,
+             saved: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Teacher-force stages ``[start, stop)`` on input ``codes``.
+
+        ``saved`` maps residual-source stage indices to their input
+        codes.  Only sources below ``start`` are seeded: a later one is
+        the segment's own output, and its slot may share arena space
+        with tensors the segment reads first.  Returns a copy of stage
+        ``stop - 1``'s output (float32 logits for the final Dense).
+        """
+        n = int(codes.shape[0])
+        views = self._views_for(n)
+        for index in range(start, stop):
+            source = self.program.stages[index].residual_from
+            if source is not None and source < start:
+                np.copyto(views[source - 1], saved[source])
+        np.copyto(views[start - 1], codes)
+        if stop < len(self._records):
+            self._run_stages(views, n, start, stop, None)
+            return views[stop - 1].copy()
+        logits = np.empty((n, self.program.stages[-1].out_shape[0]),
+                          dtype=np.float32)
+        self._run_stages(views, n, start, stop, logits)
+        return logits
+
+    def _run_stages(self, views: Dict[int, np.ndarray], n: int, start: int,
+                    stop: int, logits: Optional[np.ndarray]) -> None:
         recorder = get_recorder()
-        for rec in self._records:
+        for rec in self._records[start:stop]:
             stage = rec["stage"]
             if recorder.enabled:
                 with recorder.span(f"infer.{stage.name}", op=stage.kind,
@@ -223,7 +245,6 @@ class ArenaExecutor:
             grid = self.program.input_grid
             if x.dtype != np.float32:
                 # off the planned path: reproduce the reference dtype exactly
-                self.runtime_allocs += 1
                 np.copyto(codes, self.program.quantize_input(x))
                 return
             scratch = self.fin[:x.size].reshape(x.shape)
@@ -234,26 +255,13 @@ class ArenaExecutor:
             np.copyto(codes, scratch, casting="unsafe")
 
     def _exec(self, rec: Dict, views: Dict[int, np.ndarray], n: int,
-              logits: np.ndarray) -> None:
-        stage = rec["stage"]
-        kind = stage.kind
+              logits: Optional[np.ndarray]) -> None:
+        kind = rec["stage"].kind
         with prof.kernel("infer." + kind):
-            if kind == "conv":
-                self._exec_conv(rec, views, n)
-            elif kind == "dw":
-                self._exec_dw(rec, views, n)
-            elif kind == "dense":
+            if kind == "dense":
                 self._exec_dense(rec, views, n, logits)
-            elif kind == "gap":
-                self._exec_gap(rec, views, n)
-            elif kind == "avgpool":
-                self._exec_avgpool(rec, views, n)
-            elif kind == "maxpool":
-                self._exec_maxpool(rec, views, n)
-            elif kind == "flatten":
-                pass                  # aliased slot: pure reinterpretation
-            else:
-                raise ValueError(f"unknown stage kind {kind!r}")
+            elif kind != "flatten":   # flatten: aliased slot, no work
+                getattr(self, "_exec_" + kind)(rec, views, n)
 
     def _requant_rows(self, stage: Stage, acc_rows: np.ndarray,
                       saved_rows: Optional[np.ndarray]) -> None:
@@ -280,8 +288,6 @@ class ArenaExecutor:
         if stage.residual_from is None:
             return None
         saved = views[stage.residual_from - 1]
-        if DEBUG_CHECKS and saved.dtype != np.int32:
-            raise TypeError(f"{stage.name}: residual input must be int32")
         return saved.reshape(saved.shape[0] * int(
             np.prod(saved.shape[1:-1])), saved.shape[-1])[r0:r1]
 
@@ -422,17 +428,23 @@ class ArenaExecutor:
         tiles.max(axis=(2, 4), out=out)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Program:
-    """A compiled integer-only network, ready to run."""
+    """A compiled integer-only network, ready to run.
 
-    stages: List[Stage]
+    Frozen, so threads may share it; its executor cache is per thread.
+    """
+
+    stages: Tuple[Stage, ...]
     input_grid: Grid
     image_size: int
     in_channels: int
     name: str = "model"
-    _executors: Dict[int, ArenaExecutor] = field(default_factory=dict,
-                                                 repr=False, compare=False)
+    _per_thread: threading.local = field(default_factory=threading.local,
+                                         init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stages", tuple(self.stages))
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
         """Float images -> int32 input codes (the off-hot-path ADC step)."""
@@ -442,11 +454,13 @@ class Program:
         return q.astype(np.int32)
 
     def executor(self, batch_size: int) -> ArenaExecutor:
-        """The cached arena executor for ``batch_size``-image batches."""
-        executor = self._executors.get(batch_size)
+        """The calling thread's cached executor for ``batch_size`` images."""
+        cache = getattr(self._per_thread, "by_batch", None)
+        if cache is None:
+            cache = self._per_thread.by_batch = {}
+        executor = cache.get(batch_size)
         if executor is None:
-            executor = ArenaExecutor(self, batch_size)
-            self._executors[batch_size] = executor
+            executor = cache[batch_size] = ArenaExecutor(self, batch_size)
         return executor
 
     # -- fresh-allocation reference path --------------------------------------
@@ -498,46 +512,19 @@ class Program:
             out = np.clip(out, stage.clamp_lo, stage.clamp_hi)
         return out.astype(np.int32)
 
-    def run_range(self, codes: np.ndarray, start: int, stop: int,
-                  saved: Optional[Dict[int, np.ndarray]] = None
-                  ) -> np.ndarray:
-        """Execute stages ``[start, stop)`` on input codes.
-
-        ``saved`` pre-seeds residual inputs (the parity harness uses this
-        to teacher-force each stage with reference codes).
-        """
-        if saved is None:
-            saved = {}
-        out = codes
-        for index in range(start, stop):
-            out = self.run_stage(index, out, saved)
-        return out
-
     def run_batch_reference(self, x: np.ndarray) -> np.ndarray:
         """Float images -> float logits via the fresh-allocation path.
 
-        The bit-identity oracle for the arena executor; also the
-        fallback for programs that do not end in a Dense classifier.
+        The bit-identity oracle for the arena executor.
         """
-        return self.run_range(self.quantize_input(x), 0, len(self.stages))
-
-    # -- planned hot path -----------------------------------------------------
-    def run_batch(self, x: np.ndarray) -> np.ndarray:
-        """Float images -> float logits for one batch."""
-        if self.stages[-1].kind != "dense":
-            return self.run_batch_reference(x)
-        n = int(x.shape[0])
-        logits = np.empty((n, self.stages[-1].out_shape[0]),
-                          dtype=np.float32)
-        self.executor(max(n, 1)).run_batch_into(x, logits)
-        return logits
+        saved: Dict[int, np.ndarray] = {}
+        out = self.quantize_input(x)
+        for index in range(len(self.stages)):
+            out = self.run_stage(index, out, saved)
+        return out
 
     def run(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Float images -> float logits, batched through the arena."""
-        if self.stages[-1].kind != "dense":
-            outputs = [self.run_batch_reference(x[s:s + batch_size])
-                       for s in range(0, x.shape[0], batch_size)]
-            return np.concatenate(outputs, axis=0)
         recorder = get_recorder()
         n = int(x.shape[0])
         executor = self.executor(min(batch_size, max(n, 1)))
@@ -556,7 +543,6 @@ class Program:
         if recorder.enabled:
             recorder.counter("infer.requant_fused",
                              executor.fused_requant_calls - fused_before)
-            recorder.counter("infer.allocs", executor.runtime_allocs)
         return logits
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:

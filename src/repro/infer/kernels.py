@@ -15,7 +15,6 @@ integer kernels (the accumulator head-room proof lives in
 
 from __future__ import annotations
 
-import os
 from typing import Tuple
 
 import numpy as np
@@ -24,27 +23,9 @@ from ..nn import functional as F
 
 INT_KINDS = ("i", "u")
 
-#: dtype validation toggle.  The public kernels check by default (they
-#: accept arbitrary caller arrays); the planned executor owns every
-#: buffer it touches, so its hot path only validates when
-#: ``BOMP_INFER_DEBUG`` is set — validation cost must not pollute the
-#: throughput bench.
-CHECK_DTYPES = True
-
-#: extra hot-path validation (arena dtypes, shapes) in the executor
-DEBUG_CHECKS = bool(os.environ.get("BOMP_INFER_DEBUG"))
-
-
-def set_check_dtypes(enabled: bool) -> bool:
-    """Toggle kernel dtype validation; returns the previous setting."""
-    global CHECK_DTYPES
-    previous = CHECK_DTYPES
-    CHECK_DTYPES = bool(enabled)
-    return previous
-
 
 def _require_int(x: np.ndarray, who: str) -> None:
-    if CHECK_DTYPES and x.dtype.kind not in INT_KINDS:
+    if x.dtype.kind not in INT_KINDS:
         raise TypeError(f"{who}: expected integer array, got {x.dtype}")
 
 

@@ -7,10 +7,12 @@ Two complementary checks on the same inputs:
    codes the fake-quant simulation produces at every quantized layer
    boundary.  Each integer stage segment (a conv stage plus any pooling
    up to the next quantized consumer) is then fed the *reference* input
-   codes, and its output codes are compared against the reference codes
-   of the next boundary.  The divergence budget is the segment's rounding
-   step count (``Stage.round_steps``): one LSB per requantization step —
-   output requantize, bias fold, residual requantize/residual input
+   codes on the arena executor that serves :meth:`Program.run`
+   (:meth:`~repro.infer.engine.ArenaExecutor.step`), and its output
+   codes are compared against the reference codes of the next boundary.
+   The divergence budget is the segment's rounding step count
+   (``Stage.round_steps``): one LSB per requantization step — output
+   requantize, bias fold, residual requantize/residual input
    quantization, pool mean — so errors cannot be laundered through
    accumulated drift.
 
@@ -155,11 +157,11 @@ def check_parity(model, program: Program, x: np.ndarray,
     saved = {k: reference_codes[j] for j, k in enumerate(boundaries)
              if program.stages[k].save_input}
 
+    executor = program.executor(int(x.shape[0]))
     stage_reports = []
     for j in range(len(boundaries) - 1):
         start, stop = boundaries[j], boundaries[j + 1]
-        out = program.run_range(reference_codes[j], start, stop,
-                                saved=dict(saved))
+        out = executor.step(reference_codes[j], start, stop, saved)
         diff = int(np.abs(out.astype(np.int64)
                           - reference_codes[j + 1].astype(np.int64)).max())
         budget = sum(program.stages[k].round_steps
@@ -170,8 +172,8 @@ def check_parity(model, program: Program, x: np.ndarray,
 
     # teacher-forced final dense: exact integer accumulation, so only
     # float32-vs-float64 dequantization noise remains
-    forced_logits = program.run_range(reference_codes[-1], boundaries[-1],
-                                      len(program.stages))
+    forced_logits = executor.step(reference_codes[-1], boundaries[-1],
+                                  len(program.stages), saved)
     max_logit_diff = float(
         np.abs(forced_logits - reference_logits).max())
 

@@ -14,8 +14,9 @@ suite asserts this).
 
 Threading model: the compiled :class:`~repro.infer.engine.Program` is
 shared and immutable; everything mutable (arena, staging buffer, logits
-scratch) is owned by exactly one worker thread.  ``workers_per_model >
-1`` therefore scales concurrency by adding arenas, never by sharing one.
+scratch) is owned by exactly one worker thread, because an executor
+belongs to one thread.  ``workers_per_model > 1`` therefore scales
+concurrency by adding arenas, never by sharing one.
 
 Per-request bookkeeping feeds the SLO metrics
 (``serve.<model>.latency_s`` histograms, ``serve.<model>.timeouts``

@@ -20,8 +20,9 @@ Endpoints (all JSON)::
     GET    /v1/stats                    metrics snapshot (SLO source)
 
 Admission failures map to HTTP status codes (429 shed, 503 draining,
-404 unknown model, 504 deadline exceeded, 400 malformed, 413 body over
-:data:`MAX_BODY_BYTES`), so clients can tell backpressure from
+404 unknown model, 504 deadline exceeded, 400 malformed, 411 a body sent
+with a ``Transfer-Encoding`` instead of a ``Content-Length``, 413 body
+over :data:`MAX_BODY_BYTES`), so clients can tell backpressure from
 brokenness.  Malformed input — bad framing, a non-finite image, a
 ``timeout_ms`` that is not a positive number — is answered at the HTTP
 boundary and never reaches a queue.
@@ -327,6 +328,13 @@ def _make_handler(daemon: ServeDaemon):
             self._error(status, message)
 
         def _read_json(self) -> Optional[Dict[str, Any]]:
+            if self.headers.get("Transfer-Encoding") is not None:
+                # a chunked body cannot be skipped unread, and left
+                # unread its chunks would parse as the next request
+                self._reject_body(411, "send the body with a "
+                                       "Content-Length, not a "
+                                       "Transfer-Encoding")
+                return None
             text = (self.headers.get("Content-Length") or "0").strip()
             if not (text.isascii() and text.isdigit()):
                 self._reject_body(400, f"Content-Length must be a "

@@ -5,14 +5,12 @@ registry goes through the content-hash
 :class:`~repro.infer.artifact.ArtifactCache`, so re-loading the same
 file (or the same bytes under a different name) reuses the compiled
 :class:`~repro.infer.engine.Program`.  What is shared is strictly
-read-only — ``compile_model`` finalizes every stage eagerly, and nothing
-on the serving path mutates a stage afterwards.  What is *not* shared
-are arenas: each batch worker builds its own
+read-only: the program and its stages are frozen, with read-only
+arrays.  What is *not* shared are arenas, because an executor belongs
+to one thread: each batch worker builds its own
 :class:`~repro.infer.engine.ArenaExecutor` (see
-:mod:`repro.serve.batcher`), because an executor's scratch buffers are
-single-thread state by construction.  The registry deliberately never
-calls :meth:`Program.executor` — that per-program cache is unsynchronized
-and would hand two threads the same arena.
+:mod:`repro.serve.batcher`), and :meth:`Program.executor` hands every
+calling thread its own.
 """
 
 from __future__ import annotations

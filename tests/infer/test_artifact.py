@@ -1,6 +1,8 @@
 """Deployable artifact: serialization round-trip, bit-identical rebuild,
 error paths, and the export/infer CLI round-trip from a real run."""
 
+import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -113,6 +115,98 @@ class TestErrorPaths:
         target = build_model(genome.arch, 10, rng=rng)
         with pytest.raises(ArtifactError, match="BatchNorm"):
             restore_bn_stats(target, stats)
+
+
+def _blob_spans(data):
+    """``(length field, blob start, blob end)`` of header, container, npz."""
+    spans = []
+    offset = len(ARTIFACT_MAGIC) + 4
+    for _ in range(3):
+        (length,) = struct.unpack("<I", data[offset:offset + 4])
+        spans.append((offset, offset + 4, offset + 4 + length))
+        offset += 4 + length
+    return spans
+
+
+#: header blobs that parse to nothing usable, from a valid genome dict
+_BAD_HEADERS = {
+    "not-utf8": lambda genome: b"\xff",
+    "bad-json": lambda genome: b"{",
+    "deep-json": lambda genome: b"[" * 100_000,
+    "not-object": lambda genome: b"[]",
+    "no-genome": lambda genome: b"{}",
+    "bad-blocks": lambda genome: json.dumps(
+        {"genome": {**genome, "blocks": 1}}).encode(),
+    "policy-list": lambda genome: json.dumps(
+        {"genome": {**genome, "policy": []}}).encode(),
+}
+
+
+class TestMalformedBytes:
+    """Truncated or corrupted ``.bomp`` bytes raise ArtifactError — the
+    error ``repro infer`` and the daemon's load route answer cleanly —
+    never a struct, zip or decode error."""
+
+    def test_every_cut_in_the_first_64_bytes(self, artifact):
+        data = artifact_to_bytes(artifact)
+        for cut in range(64):
+            with pytest.raises(ArtifactError):
+                artifact_from_bytes(data[:cut])
+
+    def test_cuts_at_each_length_field(self, artifact):
+        data = artifact_to_bytes(artifact)
+        for field, start, _ in _blob_spans(data):
+            for cut in range(field, start + 1):
+                with pytest.raises(ArtifactError, match="truncated"):
+                    artifact_from_bytes(data[:cut])
+
+    def test_seeded_header_byte_flips(self, artifact):
+        data = artifact_to_bytes(artifact)
+        _, start, end = _blob_spans(data)[0]
+        rng = np.random.default_rng(13)
+        for pos in rng.choice(np.arange(start, end), 64, replace=False):
+            flipped = bytearray(data)
+            flipped[pos] ^= 0xFF
+            with pytest.raises(ArtifactError, match="header"):
+                artifact_from_bytes(bytes(flipped))
+
+    def test_seeded_npz_byte_flips(self, artifact):
+        """A flip in the BN-stats npz raises, unless it hit zip metadata
+        that carries no data (a timestamp, say): then the stats load
+        unchanged.  Catching that needs an integrity digest."""
+        data = artifact_to_bytes(artifact)
+        _, start, end = _blob_spans(data)[2]
+        rng = np.random.default_rng(14)
+        raised = 0
+        for pos in rng.choice(np.arange(start, end), 64, replace=False):
+            flipped = bytearray(data)
+            flipped[pos] ^= 0xFF
+            try:
+                back = artifact_from_bytes(bytes(flipped))
+            except ArtifactError as exc:
+                assert "BN-stats" in str(exc)
+                raised += 1
+                continue
+            assert set(back.bn_stats) == set(artifact.bn_stats)
+            for key, value in artifact.bn_stats.items():
+                assert np.array_equal(back.bn_stats[key], value), pos
+        assert raised
+
+    @pytest.mark.parametrize("case", sorted(_BAD_HEADERS))
+    def test_malformed_header(self, artifact, case):
+        header = _BAD_HEADERS[case](genome_to_dict(artifact.genome))
+        data = artifact_to_bytes(artifact)
+        field, _, end = _blob_spans(data)[0]
+        data = (data[:field] + struct.pack("<I", len(header)) + header
+                + data[end:])
+        with pytest.raises(ArtifactError, match="header"):
+            artifact_from_bytes(data)
+
+    def test_malformed_container_rejected_on_rebuild(self, artifact):
+        truncated = dataclasses.replace(artifact,
+                                        container=artifact.container[:40])
+        with pytest.raises(ArtifactError, match="container"):
+            truncated.rebuild()
 
 
 class TestPickTrial:

@@ -1,6 +1,11 @@
 """Arena-executor tests: bit-identity against the fresh-allocation
-reference across policies, stage types and batch shapes, plus the
-allocation-free steady-state contract and its observability counters."""
+reference across policies, stage types and batch shapes (end to end and
+stage by stage), the allocation-free steady-state contract and its
+observability counters, and one Program shared by many threads."""
+
+import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -82,20 +87,16 @@ class TestBitIdentity:
     def test_short_final_batch(self, program8, infer_dataset):
         """256 images at batch 96 -> a 64-image tail on prefix views."""
         x = infer_dataset.x_train
+        executor = program8.executor(96)
         hot = program8.run(x, batch_size=96)
         np.testing.assert_array_equal(hot, _reference(program8, x, 96))
-        assert 96 in program8._executors    # one executor serves the tail
+        assert program8.executor(96) is executor  # one serves the tail
 
     def test_residual_coverage(self, program8, program_mixed):
         """The fixtures genuinely exercise the residual-ADD fused path."""
         for program in (program8, program_mixed):
             assert any(stage.residual_from is not None
                        for stage in program.stages)
-
-    def test_run_batch_matches_reference(self, program8, infer_dataset):
-        x = infer_dataset.x_train[:17]
-        np.testing.assert_array_equal(program8.run_batch(x),
-                                      program8.run_batch_reference(x))
 
 
 class TestAllocationFree:
@@ -123,7 +124,6 @@ class TestAllocationFree:
         executor.run_batch_into(x[:32], logits)
         executor.run_batch_into(x[32:49], logits[:17])
         assert counter["n"] == 0
-        assert executor.runtime_allocs == 0
 
     def test_executor_is_cached_and_buffers_fixed(self, program8,
                                                   infer_dataset):
@@ -158,22 +158,6 @@ class TestExecutorContract:
         with pytest.raises(ValueError, match="Dense"):
             ArenaExecutor(headless, 4)
 
-    def test_headless_program_falls_back(self, program8, infer_dataset):
-        """run()/run_batch() on a non-dense-tailed program still work,
-        via the reference path (int codes out)."""
-        headless = Program(stages=program8.stages[:-1],
-                           input_grid=program8.input_grid,
-                           image_size=program8.image_size,
-                           in_channels=program8.in_channels,
-                           name="headless")
-        x = infer_dataset.x_train[:7]
-        codes = headless.run(x, batch_size=4)
-        assert codes.dtype == np.int32
-        saved = {}
-        expected = headless.run_range(headless.quantize_input(x), 0,
-                                     len(headless.stages), saved)
-        np.testing.assert_array_equal(codes, expected)
-
     def test_fused_requant_counted(self, program8, infer_dataset):
         executor = program8.executor(16)
         before = executor.fused_requant_calls
@@ -204,7 +188,137 @@ class TestArenaObservability:
                  if e.get("type") == "counter"
                  and e.get("name") == "infer.requant_fused"]
         assert fused and sum(c["value"] for c in fused) > 0
-        allocs = [e for e in recorder.events
-                  if e.get("type") == "counter"
-                  and e.get("name") == "infer.allocs"]
-        assert allocs and all(c["value"] == 0 for c in allocs)
+
+
+def _reference_inputs(program, x):
+    """Every stage's reference input codes, and the saved residual inputs."""
+    saved = {}
+    inputs = []
+    out = program.quantize_input(x)
+    for index in range(len(program.stages)):
+        inputs.append(out)
+        out = program.run_stage(index, out, saved)
+    return inputs, saved
+
+
+class TestPerStageBitIdentity:
+    """The arena's teacher-forced step equals ``run_stage`` at every
+    stage, so a stage error that a later clamp or max-pool would mask in
+    the final logits still fails."""
+
+    @pytest.mark.parametrize("name", ["program8", "program_mixed",
+                                      "zoo_program"])
+    def test_every_stage(self, request, name):
+        program = request.getfixturevalue(name)
+        size, channels = program.image_size, program.in_channels
+        x = np.random.default_rng(4).normal(
+            size=(13, size, size, channels)).astype(np.float32)
+        inputs, saved = _reference_inputs(program, x)
+        executor = ArenaExecutor(program, 16)    # 13 images: prefix views
+        for index in range(len(program.stages)):
+            expected = program.run_stage(index, inputs[index], dict(saved))
+            got = executor.step(inputs[index], index, index + 1, saved)
+            np.testing.assert_array_equal(
+                got, expected, err_msg=program.stages[index].name)
+
+    def test_segments_seed_only_earlier_sources(self, program8):
+        """Multi-stage segments that contain a residual source and its
+        consumer run on arena-produced codes, like the reference."""
+        x = np.random.default_rng(6).normal(
+            size=(5, program8.image_size, program8.image_size,
+                  program8.in_channels)).astype(np.float32)
+        inputs, saved = _reference_inputs(program8, x)
+        executor = program8.executor(5)
+        stop = len(program8.stages)
+        for start in range(stop):
+            np.testing.assert_array_equal(
+                executor.step(inputs[start], start, stop, saved),
+                program8.run_batch_reference(x))
+
+
+def _stage_arrays(stage):
+    """``(field, array)`` for every ndarray a stage holds."""
+    for f in dataclasses.fields(stage):
+        value = getattr(stage, f.name)
+        if isinstance(value, np.ndarray):
+            yield f.name, value
+        elif dataclasses.is_dataclass(value):            # RequantPlan
+            for g in dataclasses.fields(value):
+                array = getattr(value, g.name)
+                if isinstance(array, np.ndarray):
+                    yield f"{f.name}.{g.name}", array
+
+
+class TestSharedProgram:
+    """One compiled Program shared by many threads, as the artifact cache
+    shares it: every result is exact and the program never changes."""
+
+    THREADS = 8
+    ROUNDS = 15
+
+    def test_thread_hammer(self, program8, infer_dataset):
+        x = infer_dataset.x_train[:37]
+        odd = 13                                  # 37 = 2 * 13 + 11
+        expected = {1: program8.run_batch_reference(x[:1]),
+                    odd: _reference(program8, x, odd)}
+        before = {(i, name): array.copy()
+                  for i, stage in enumerate(program8.stages)
+                  for name, array in _stage_arrays(stage)}
+        wrong = []
+        errors = []
+        start = threading.Barrier(self.THREADS)
+
+        def hammer():
+            try:
+                start.wait(timeout=60)
+                for _ in range(self.ROUNDS):
+                    for batch, images in ((1, x[:1]), (odd, x)):
+                        out = program8.run(images, batch_size=batch)
+                        if not np.array_equal(out, expected[batch]):
+                            wrong.append(batch)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer)
+                       for _ in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not wrong, (f"{len(wrong)} of "
+                           f"{2 * self.THREADS * self.ROUNDS} calls wrong")
+
+        for i, stage in enumerate(program8.stages):
+            for name, array in _stage_arrays(stage):
+                assert not array.flags.writeable, (stage.name, name)
+                np.testing.assert_array_equal(array, before[(i, name)])
+
+    def test_stages_and_program_are_frozen(self, program8):
+        stage = program8.stages[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stage.in_zp = stage.in_zp + 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stage.weight = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program8.stages = ()
+        assert isinstance(program8.stages, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            stage.weight[...] = 0
+
+    def test_executor_is_per_thread(self, program8):
+        mine = program8.executor(4)
+        theirs = []
+        thread = threading.Thread(
+            target=lambda: theirs.append(program8.executor(4)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert program8.executor(4) is mine
+        assert theirs and theirs[0] is not mine

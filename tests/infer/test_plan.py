@@ -7,12 +7,17 @@ from repro.infer.compile import Stage
 from repro.infer.plan import (liveness_intervals, peak_liveness, plan_arena)
 
 
-def _chain(shapes, kinds=None):
-    """A linear stage list with the given per-image shapes."""
+def _chain(shapes, kinds=None, residual=None):
+    """A linear stage list with the given per-image shapes; ``residual``
+    is an optional ``(source, consumer)`` pair of stage indices."""
+    source, consumer = residual or (None, None)
     stages = []
     for i in range(len(shapes) - 1):
         kind = kinds[i] if kinds else "conv"
-        stages.append(Stage(f"s{i}", kind, shapes[i], shapes[i + 1]))
+        stages.append(Stage(f"s{i}", kind, shapes[i], shapes[i + 1],
+                            save_input=i == source,
+                            residual_from=source if i == consumer
+                            else None))
     return stages
 
 
@@ -29,9 +34,8 @@ class TestLivenessIntervals:
         assert by_value[2].end == 2
 
     def test_residual_pins_source_value(self):
-        stages = _chain([(4, 4, 8)] * 5)
-        stages[1].save_input = True          # saved tensor = value 0
-        stages[3].residual_from = 1
+        # stage 1 saves its input (value 0), stage 3 adds it
+        stages = _chain([(4, 4, 8)] * 5, residual=(1, 3))
         by_value = {iv.value: iv for iv in liveness_intervals(stages)}
         # value 0 stays live from its producer through the project stage
         assert (by_value[0].start, by_value[0].end) == (0, 3)
@@ -61,9 +65,7 @@ class TestPeakLiveness:
     def test_residual_raises_peak(self):
         shapes = [(4, 4, 8)] * 5
         plain = _chain(shapes)
-        pinned = _chain(shapes)
-        pinned[1].save_input = True
-        pinned[3].residual_from = 1
+        pinned = _chain(shapes, residual=(1, 3))
         assert peak_liveness(pinned)[0] > peak_liveness(plain)[0]
 
 
@@ -93,9 +95,7 @@ class TestPlanArena:
         assert plan.total_elems >= plan.peak_elems
 
     def test_no_overlap_with_residual(self):
-        stages = _chain([(4, 4, 8)] * 6)
-        stages[1].save_input = True
-        stages[4].residual_from = 1
+        stages = _chain([(4, 4, 8)] * 6, residual=(1, 4))
         plan = plan_arena(stages)
         self._assert_no_live_overlap(stages, plan)
         # the pinned tensor coexists with every in-between value

@@ -67,6 +67,23 @@ def post_raw(url, body=b"", content_length=None):
         connection.close()
 
 
+def post_framing_only(url, header, value):
+    """POST with one framing header and no body sent; returns the status,
+    the JSON payload and the response's ``Connection`` header."""
+    parts = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port,
+                                            timeout=30)
+    try:
+        connection.putrequest("POST", parts.path)
+        connection.putheader(header, value)
+        connection.endheaders()
+        response = connection.getresponse()
+        return (response.status, json.loads(response.read()),
+                response.getheader("Connection"))
+    finally:
+        connection.close()
+
+
 class TestHTTP:
     def test_healthz_and_models(self, base_url):
         status, health = get(base_url + "/healthz")
@@ -103,6 +120,12 @@ class TestHTTP:
         for length in (str(MAX_BODY_BYTES + 1), "9" * 5000):
             status, body = post_raw(url, content_length=length)
             assert status == 413 and "limit" in body["error"]
+        # a chunked body is refused unread and the connection closed,
+        # so its chunks are never parsed as the next request line
+        status, body, connection = post_framing_only(
+            url, "Transfer-Encoding", "chunked")
+        assert status == 411 and "Content-Length" in body["error"]
+        assert connection == "close"
         # an integer too long for int() is not valid JSON either
         status, body = post_raw(url, b'{"timeout_ms": ' + b"9" * 5000 + b"}")
         assert status == 400 and "JSON" in body["error"]
