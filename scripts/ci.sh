@@ -6,7 +6,8 @@
 # Steps:
 #   1. tier-1 pytest (slow/bench marked tests stay opted out via addopts)
 #   2. schema validation of a freshly traced+profiled run's events.jsonl
-#      (exercises the full span/metric/profile event surface)
+#      (exercises the full span/metric/profile event surface), then that
+#      run's hotspot table, so every CI log shows where training time goes
 #   3. serving smoke test (HTTP round trip against a live daemon,
 #      concurrent clients, bit-identity vs serial inference, clean drain)
 #   4. `repro infer --parity` on a freshly built bench artifact: every
@@ -32,6 +33,9 @@ trap 'rm -rf "$TMP_RUN"' EXIT
 python -m repro search --scale unit --no-final-training --profile \
     --trace-dir "$TMP_RUN/run" --quiet >/dev/null
 python scripts/check_schema.py "$TMP_RUN/run"
+
+echo "== profile: hotspot table of that run =="
+python -m repro profile "$TMP_RUN/run" --top 12
 
 echo "== serve smoke =="
 python scripts/serve_smoke.py

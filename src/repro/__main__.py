@@ -3,6 +3,11 @@
 import sys
 
 from .cli import main
+from .resilience.checkpoint import CheckpointError
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except CheckpointError as exc:
+        # a checkpoint is outside input: one line naming it, no traceback
+        sys.exit(f"repro: {exc}")

@@ -235,14 +235,15 @@ def _resumed_search_inputs(args: argparse.Namespace):
     """
     from .data.synthetic import make_synthetic_dataset
     from .nas.results import config_from_dict
-    from .resilience.checkpoint import load_checkpoint
+    from .resilience.checkpoint import load_checkpoint, restoring_from
     checkpoint = load_checkpoint(args.resume)
-    config = config_from_dict(checkpoint.config)
     if checkpoint.dataset_spec is None:
         raise SystemExit(
             f"checkpoint at {args.resume} records no dataset spec; "
             "cannot reconstruct the dataset for a resumed run")
-    dataset = make_synthetic_dataset(**checkpoint.dataset_spec)
+    with restoring_from(args.resume):
+        config = config_from_dict(checkpoint.config)
+        dataset = make_synthetic_dataset(**checkpoint.dataset_spec)
     return config, dataset
 
 

@@ -24,7 +24,10 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+from ..bo.acquisition import ACQUISITIONS
+from ..bo.kernels import KERNELS
 from ..bo.scalarization import ScalarizationConfig
+from ..quant.observers import OBSERVERS
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,12 @@ class SearchConfig:
             raise ValueError("learning rates must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for field_name, choices in (("kernel", KERNELS),
+                                    ("acquisition", ACQUISITIONS),
+                                    ("observer", OBSERVERS)):
+            if getattr(self, field_name) not in choices:
+                raise ValueError(f"unknown {field_name} "
+                                 f"{getattr(self, field_name)!r}")
         if self.policies_per_trial < 1:
             raise ValueError("policies_per_trial must be >= 1")
         if self.policies_per_trial > 1 and not self.mode.search_policy:

@@ -46,7 +46,8 @@ from ..parallel.engine import (DEFAULT_TRIAL_BATCH, RetryPolicy, TrialEngine,
                                TrialSpec)
 from ..parallel.seeding import trial_seed
 from ..resilience.checkpoint import (CheckpointError, SearchCheckpoint,
-                                     load_checkpoint, save_checkpoint)
+                                     checkpoint_path, load_checkpoint,
+                                     restoring_from, save_checkpoint)
 from ..quant.apply import apply_policy, calibrate, remove_quantizers
 from ..quant.policy import QuantizationPolicy
 from ..quant.qaft import quantization_aware_finetune
@@ -298,18 +299,21 @@ class BOMPNAS:
                 key for key in set(expected) | set(checkpoint.config)
                 if expected.get(key) != checkpoint.config.get(key))
             raise CheckpointError(
-                f"checkpoint at {resume_from} was written by a different "
-                f"run configuration (mismatched: {', '.join(mismatched)})")
+                f"checkpoint {checkpoint_path(resume_from)} was written by "
+                f"a different run configuration (mismatched: "
+                f"{', '.join(mismatched)})")
         if batch_size is not None and batch_size != checkpoint.batch_size:
             raise CheckpointError(
-                f"checkpoint was written with batch_size="
+                f"checkpoint {checkpoint_path(resume_from)} was written "
+                f"with batch_size="
                 f"{checkpoint.batch_size}, cannot resume with "
                 f"batch_size={batch_size} (the proposal schedule is part "
                 "of the search result)")
-        trials = [TrialResult.from_dict(t) for t in checkpoint.trials]
-        for trial in trials:
-            optimizer.tell(trial.genome, trial.score)
-        optimizer.restore_state(checkpoint.optimizer)
+        with restoring_from(resume_from):
+            trials = [TrialResult.from_dict(t) for t in checkpoint.trials]
+            for trial in trials:
+                optimizer.tell(trial.genome, trial.score)
+            optimizer.restore_state(checkpoint.optimizer)
         return trials, checkpoint.batch_index, checkpoint.batch_size
 
     def _save_checkpoint(self, checkpoint_dir,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..obs import profile as prof
 from . import functional as F
@@ -232,51 +233,120 @@ class DepthwiseConv2D(Module):
             padded, pad_h, pad_w = F.pad_input(x, self.kernel, self.stride,
                                                self.padding)
             weight = self._effective_weight()
-            # shift-and-add formulation: k^2 strided slices of the padded
-            # input each scaled by one kernel tap.  Never materializes the
-            # (N, Ho, Wo, C, k, k) patch tensor, which for wide CIFAR-100
-            # candidates would be gigabytes.
             out_h = F.conv_output_size(x.shape[1], self.kernel, self.stride,
                                        self.padding)
             out_w = F.conv_output_size(x.shape[2], self.kernel, self.stride,
                                        self.padding)
-            span_h = (out_h - 1) * self.stride + 1
-            span_w = (out_w - 1) * self.stride + 1
-            out = np.zeros((x.shape[0], out_h, out_w, self.channels),
+            # shift-and-add over k^2 taps, each an (N, Ho, Wo*C) window
+            # scaled by its tap's weight tiled along the row.  Never
+            # materializes the (N, Ho, Wo, C, k, k) patch tensor, which for
+            # wide CIFAR-100 candidates would be gigabytes.
+            s = self.stride
+            phases = {(p, q): np.ascontiguousarray(padded[:, p::s, q::s])
+                      for p, q in self._phases()}
+            out = np.zeros((x.shape[0], out_h, out_w * self.channels),
                            dtype=FLOAT)
-            for i in range(self.kernel):
-                for j in range(self.kernel):
-                    window = padded[:, i:i + span_h:self.stride,
-                                    j:j + span_w:self.stride, :]
-                    out += window * weight[i, j]
-            self._cache = (padded, (span_h, span_w), pad_h, pad_w, weight)
-            return out
+            scratch = np.empty_like(out)
+            for (i, j), tap in self._taps(weight, out_w):
+                np.multiply(self._window(phases, i, j, out_h, out_w), tap,
+                            out=scratch)
+                out += scratch
+            self._cache = (padded, (out_h, out_w), pad_h, pad_w, weight)
+            return out.reshape(x.shape[0], out_h, out_w, self.channels)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         with prof.kernel("nn.dwconv.bwd"):
             if self._cache is None:
                 raise RuntimeError(
                     f"{self.name}: backward called before forward")
-            padded, (span_h, span_w), pad_h, pad_w, weight = self._cache
+            padded, (out_h, out_w), pad_h, pad_w, weight = self._cache
             grad = grad.astype(FLOAT, copy=False)
-            dweight = np.zeros_like(self.weight.data)
-            dx_padded = np.zeros(padded.shape, dtype=FLOAT)
-            for i in range(self.kernel):
-                for j in range(self.kernel):
-                    window = padded[:, i:i + span_h:self.stride,
-                                    j:j + span_w:self.stride, :]
-                    dweight[i, j] = (window * grad).sum(axis=(0, 1, 2))
-                    dx_padded[:, i:i + span_h:self.stride,
-                              j:j + span_w:self.stride, :] += (grad
-                                                               * weight[i, j])
+            dweight = self._weight_grad(padded, grad, out_h, out_w)
             if self.weight_quantizer is not None:
                 dweight = self.weight_quantizer.backward(dweight)
             self.weight.accumulate_grad(dweight)
+            # the transpose of forward: each tap's scaled gradient adds into
+            # its window of a zero phase sub-grid, in forward's tap order
+            rows = np.ascontiguousarray(grad).reshape(grad.shape[0], out_h,
+                                                      -1)
+            s = self.stride
+            dphases = {(p, q): np.zeros(padded[:, p::s, q::s].shape,
+                                        dtype=FLOAT)
+                       for p, q in self._phases()}
+            scratch = np.empty_like(rows)
+            for (i, j), tap in self._taps(weight, out_w):
+                np.multiply(rows, tap, out=scratch)
+                window = self._window(dphases, i, j, out_h, out_w)
+                window += scratch
+            if s == 1:
+                dx_padded = dphases[0, 0]
+            else:
+                dx_padded = np.zeros(padded.shape, dtype=FLOAT)
+                for (p, q), dphase in dphases.items():
+                    dx_padded[:, p::s, q::s] = dphase
             dx = F.crop_padding(dx_padded, pad_h, pad_w)
             if self.input_quantizer is not None:
                 dx = self.input_quantizer.backward(dx)
             self._cache = None
             return dx
+
+    def _weight_grad(self, padded: np.ndarray, grad: np.ndarray,
+                     out_h: int, out_w: int) -> np.ndarray:
+        """``dweight[i, j] = (window_ij * grad).sum(axis=(0, 1, 2))``.
+
+        With C-contiguous operands and C >= 2 those sums add each channel's
+        rows in order, so one :func:`F.channel_sum` per kernel row ``i``
+        yields all ``k`` taps of the row at once, byte for byte: the padded
+        input read as overlapping ``(N, Ho, Wo, k*C)`` runs, tap ``j``'s
+        channels at ``j*C``, against ``grad`` tiled ``k`` times.  Any other
+        layout reduces tap by tap.
+        """
+        k, s, c = self.kernel, self.stride, self.channels
+        span_h = (out_h - 1) * s + 1
+        dweight = np.zeros_like(self.weight.data)
+        if c >= 2 and padded.flags.c_contiguous and grad.flags.c_contiguous:
+            n, h, w = padded.shape[:3]
+            runs = sliding_window_view(padded.reshape(n, h, w * c), k * c,
+                                       axis=2)[:, :, ::s * c][:, :, :out_w]
+            tiled = np.tile(grad, k)
+            for i in range(k):
+                dweight[i] = F.channel_sum(runs[:, i:i + span_h:s],
+                                           tiled).reshape(k, c)
+            return dweight
+        span_w = (out_w - 1) * s + 1
+        for i in range(k):
+            for j in range(k):
+                dweight[i, j] = F.channel_sum(
+                    padded[:, i:i + span_h:s, j:j + span_w:s], grad)
+        return dweight
+
+    def _phases(self) -> list:
+        """The ``(p, q)`` offsets of the stride phases any tap reads."""
+        used = range(min(self.kernel, self.stride))
+        return [(p, q) for p in used for q in used]
+
+    def _taps(self, weight: np.ndarray, out_w: int):
+        """``((i, j), row)`` per tap in i-major order; ``row`` is the tap's
+        per-channel weight tiled along one ``Wo*C`` output row."""
+        rows = np.tile(weight, (1, 1, out_w))
+        for i in range(self.kernel):
+            for j in range(self.kernel):
+                yield (i, j), rows[i, j]
+
+    def _window(self, phases: dict, i: int, j: int, out_h: int,
+                out_w: int) -> np.ndarray:
+        """Tap ``(i, j)``'s ``(N, Ho, Wo*C)`` window.
+
+        Tap ``(i, j)`` at stride ``s`` reads rows ``i, i+s, ...`` and
+        columns ``j, j+s, ...``: a stride-1 window of phase sub-grid
+        ``(i % s, j % s)``, whose W and C axes form one contiguous row.
+        """
+        s, c = self.stride, self.channels
+        phase = phases[i % s, j % s]
+        n, h, w = phase.shape[:3]
+        rows = phase.reshape(n, h, w * c)
+        top, left = i // s, (j // s) * c
+        return rows[:, top:top + out_h, left:left + out_w * c]
 
     def __repr__(self) -> str:
         return (f"DepthwiseConv2D(c={self.channels}, k={self.kernel}, "

@@ -4,11 +4,17 @@ Convolutions use the patch-extraction ("im2col") formulation: sliding
 windows are materialized with :func:`numpy.lib.stride_tricks.sliding_window_view`
 and contracted against the kernel with :func:`numpy.einsum`.  The data layout
 is NHWC throughout the framework.
+
+Training results are bit-exact across kernel rewrites, so the per-channel
+helpers here reproduce numpy's own bytes: :func:`channel_sum` adds the rows
+in the order ``ndarray.sum`` does, and :func:`channel_rows` tiles a
+per-channel vector instead of broadcasting it, which changes the inner
+loop's length but not one elementwise result.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,3 +105,55 @@ def crop_padding(dx_padded: np.ndarray, pad_h: Tuple[int, int],
     h_end = dx_padded.shape[1] - pad_h[1]
     w_end = dx_padded.shape[2] - pad_w[1]
     return dx_padded[:, pad_h[0]:h_end, pad_w[0]:w_end, :]
+
+
+def _row_ordered(a: np.ndarray) -> bool:
+    """True when ``a`` has unit-stride channels (C >= 2) after leading axes
+    whose strides fall in row-major order."""
+    if a.ndim < 2 or a.shape[-1] < 2 or a.strides[-1] != a.itemsize:
+        return False
+    strides = [st for size, st in zip(a.shape[:-1], a.strides[:-1])
+               if size > 1]
+    return (all(outer > inner for outer, inner in zip(strides, strides[1:]))
+            and (not strides or strides[-1] > a.itemsize))
+
+
+def channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-channel total over every leading axis of ``a`` (times ``b``).
+
+    Returns exactly the bytes of ``(a * b).sum(axis=leading)``, or of
+    ``a.sum(axis=leading)`` when ``b`` is None.  On row-ordered operands
+    numpy's sum runs its inner loop over the C channels of one row and adds
+    the rows into each total in order; ``np.einsum`` with explicit
+    subscripts adds them in that same order, with the product fused into
+    the pass instead of written out, and runs 2-3x faster at small C.
+    Every other layout goes to ``ndarray.sum`` itself: at C = 1 the sum
+    runs along memory and goes pairwise, and a channel-major operand (the
+    kxk conv's output) sets a different memory order.  Tier-1 property
+    tests hold this equality, since it rests on numpy's loop order.
+    """
+    operands = (a,) if b is None else (a, b)
+    if all(op.shape == a.shape and op.dtype == a.dtype and _row_ordered(op)
+           for op in operands):
+        letters = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
+        return np.einsum(",".join([letters] * len(operands)) + "->"
+                         + letters[-1], *operands)
+    return (a if b is None else a * b).sum(axis=tuple(range(a.ndim - 1)))
+
+
+def channel_rows(*arrays: np.ndarray) -> tuple:
+    """``(*views, tile)`` for per-channel elementwise work on NHWC arrays.
+
+    When every array is C-contiguous, each comes back as an ``(N, H*W*C)``
+    view and ``tile(v)`` repeats a per-channel vector ``v`` along one such
+    row, so numpy's inner loop spans a whole row instead of C elements.
+    Otherwise the arrays come back as they are and ``tile`` returns ``v``
+    itself: a broadcast keeps its operands' memory order in its result,
+    and that order sets the summation order of every later reduction.
+    """
+    if all(x.flags.c_contiguous for x in arrays):
+        n, c = arrays[0].shape[0], arrays[0].shape[-1]
+        views = tuple(x.reshape(n, -1) for x in arrays)
+        reps = views[0].shape[1] // c
+        return views + (lambda v: np.tile(v, reps),)
+    return arrays + (lambda v: v,)

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..obs import profile as prof
+from . import functional as F
 from .initializers import glorot_uniform, ones, zeros
 from .module import FLOAT, Module, Parameter
 
@@ -122,10 +123,24 @@ class BatchNorm2D(Module):
                     f"{self.name}: expected {self.channels} channels, "
                     f"got {x.shape[-1]}")
             axes = tuple(range(x.ndim - 1))
+            # A C-contiguous input is normalised as (N, H*W*C) rows; any
+            # other layout (the kxk conv's channel-major output) keeps
+            # numpy's own reductions and broadcasts, whose output layout
+            # sets the summation order of every later layer.
+            rows, tile = F.channel_rows(x)
             if self.training:
-                mean = x.mean(axis=axes)
-                var = x.var(axis=axes)
                 count = int(np.prod([x.shape[a] for a in axes]))
+                if x.flags.c_contiguous:
+                    # one channel sum serves the mean, one centred tensor
+                    # serves both the variance and x_hat
+                    mean = F.channel_sum(x) / count
+                    centred = rows - tile(mean)
+                    centred_nhwc = centred.reshape(x.shape)
+                    var = F.channel_sum(centred_nhwc, centred_nhwc) / count
+                else:
+                    mean = x.mean(axis=axes)
+                    var = x.var(axis=axes)
+                    centred = x - mean
                 self.running_mean = (
                     self.momentum * self.running_mean
                     + (1 - self.momentum) * mean).astype(FLOAT)
@@ -135,13 +150,13 @@ class BatchNorm2D(Module):
                     self.momentum * self.running_var
                     + (1 - self.momentum) * unbiased).astype(FLOAT)
             else:
-                mean = self.running_mean
                 var = self.running_var
+                centred = rows - tile(self.running_mean)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = (x - mean) * inv_std
-            out = self.gamma.data * x_hat + self.beta.data
-            self._cache = (x_hat, inv_std, axes, x.shape)
-            return out.astype(FLOAT, copy=False)
+            x_hat = centred * tile(inv_std)
+            out = tile(self.gamma.data) * x_hat + tile(self.beta.data)
+            self._cache = (x_hat.reshape(x.shape), inv_std, axes, x.shape)
+            return out.reshape(x.shape).astype(FLOAT, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         with prof.kernel("nn.bn.bwd"):
@@ -150,21 +165,23 @@ class BatchNorm2D(Module):
                     f"{self.name}: backward called before forward")
             x_hat, inv_std, axes, shape = self._cache
             grad = grad.astype(FLOAT, copy=False)
-            self.gamma.accumulate_grad((grad * x_hat).sum(axis=axes))
-            self.beta.accumulate_grad(grad.sum(axis=axes))
+            self.gamma.accumulate_grad(F.channel_sum(grad, x_hat))
+            self.beta.accumulate_grad(F.channel_sum(grad))
+            g, x_rows, tile = F.channel_rows(grad, x_hat)
             if not self.training:
                 # inference: mean/var are constants
-                dx = grad * self.gamma.data * inv_std
+                dx = g * tile(self.gamma.data) * tile(inv_std)
                 self._cache = None
-                return dx.astype(FLOAT, copy=False)
+                return dx.reshape(shape).astype(FLOAT, copy=False)
             count = int(np.prod([shape[a] for a in axes]))
-            dx_hat = grad * self.gamma.data
-            dx = (inv_std / count) * (
+            dx_hat = g * tile(self.gamma.data)
+            dx_hat_nhwc = dx_hat.reshape(shape)
+            dx = tile(inv_std / count) * (
                 count * dx_hat
-                - dx_hat.sum(axis=axes)
-                - x_hat * (dx_hat * x_hat).sum(axis=axes))
+                - tile(F.channel_sum(dx_hat_nhwc))
+                - x_rows * tile(F.channel_sum(dx_hat_nhwc, x_hat)))
             self._cache = None
-            return dx.astype(FLOAT, copy=False)
+            return dx.reshape(shape).astype(FLOAT, copy=False)
 
     def fold_scale_shift(self) -> tuple:
         """Equivalent per-channel ``(scale, shift)`` for BN folding.

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from .faults import checkpoint_fault
 
@@ -123,15 +124,43 @@ def save_checkpoint(run_dir: Union[str, Path],
 
 
 def load_checkpoint(run_dir: Union[str, Path]) -> SearchCheckpoint:
-    """Load and validate ``<run_dir>/checkpoint.json``."""
+    """Load and validate ``<run_dir>/checkpoint.json``.
+
+    Bytes that do not decode as JSON, and JSON that fails
+    :func:`validate_checkpoint`, raise :class:`CheckpointError` naming
+    the file.
+    """
     path = checkpoint_path(run_dir)
     if not path.exists():
         raise CheckpointError(f"no checkpoint found at {path}")
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}")
-    return SearchCheckpoint.from_dict(payload)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    try:
+        return SearchCheckpoint.from_dict(payload)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def restoring_from(run_dir: Union[str, Path]) -> Iterator[None]:
+    """Raise :class:`CheckpointError` for state a checkpoint cannot rebuild.
+
+    :func:`validate_checkpoint` checks the payload's structure; the values
+    inside it (a trial's genome and score, the RNG state, the config) are
+    checked by the code that rebuilds objects from them.  Wrap that code
+    in this context so its ``KeyError``, ``TypeError`` and kin reach the
+    caller as one error that names the file, like every other malformed
+    checkpoint.
+    """
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint {checkpoint_path(run_dir)}: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 def has_checkpoint(run_dir: Union[str, Path]) -> bool:
@@ -200,7 +229,7 @@ def validate_checkpoint_file(path: Union[str, Path]) -> List[str]:
     if not resolved.exists():
         return [f"{resolved}: no checkpoint found"]
     try:
-        payload = json.loads(resolved.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(resolved.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return [f"{resolved}: unreadable ({exc})"]
     return [f"{resolved}: {p}" for p in validate_checkpoint(payload)]
