@@ -4,7 +4,10 @@
 # Usage:  bash scripts/ci.sh
 #
 # Steps:
-#   1. tier-1 pytest (slow/bench marked tests stay opted out via addopts)
+#   1. tier-1 pytest (slow/bench marked tests stay opted out via addopts),
+#      then the training kernels' byte-exactness oracles again under three
+#      more fixed hypothesis seeds: their equality rests on numpy's loop
+#      order, so each CI run checks four times the shapes tier-1 does
 #   2. schema validation of a freshly traced+profiled run's events.jsonl
 #      (exercises the full span/metric/profile event surface), then that
 #      run's hotspot table, so every CI log shows where training time goes
@@ -26,6 +29,12 @@ export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+for seed in 1 2 3; do
+    echo "== exactness oracles, hypothesis seed $seed =="
+    python -m pytest -x -q --hypothesis-seed "$seed" \
+        tests/nn/test_layer_oracle.py tests/nn/test_channel_sum.py
+done
 
 echo "== schema: freshly traced+profiled run =="
 TMP_RUN="$(mktemp -d)"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..obs import profile as prof
 from . import functional as F
@@ -34,6 +34,47 @@ def _cached_einsum(subscripts: str, a: np.ndarray,
         path = np.einsum_path(subscripts, a, b, optimize="optimal")[0]
         _EINSUM_PATHS[key] = path
     return np.einsum(subscripts, a, b, optimize=path)
+
+
+def _sum_taps(src: np.ndarray, weight: np.ndarray, out: np.ndarray,
+              stride: int, flip: bool) -> None:
+    """``out[:, h, w] = sum_ij src[:, h*s + i, w*s + j] * weight[i, j]``.
+
+    With ``flip`` the taps run back from the corner instead, reading
+    ``src[:, h + k-1 - i, w + k-1 - j]`` (at stride 1).  One ``np.einsum``
+    does the whole sum.  Its first operand is a ``(k, k, N, rows, span*C)``
+    view of C-contiguous ``src`` read as ``(N, H, W*C)`` rows, covering
+    every column from the first window's to the last's (the stride keeps
+    every s-th); its second is the weight tiled along one such row.  The
+    tap strides fall from ``i`` to ``j`` and both exceed the row's unit
+    stride, so numpy runs its inner loop along the row and adds each
+    pixel's products into a +0 output one tap at a time, i-major, each a
+    rounded multiply then a rounded add: the bytes of the original
+    shift-and-add (DESIGN.md, *Training kernels*).  At C = 1 the ``j``
+    stride would be the unit stride and numpy would reorder the taps, so
+    a zero channel widens ``src`` and ``weight``.
+    """
+    n, rows, cols, c = out.shape
+    k = weight.shape[0]
+    if c == 1:
+        src, weight = (np.concatenate([a, np.zeros_like(a)], axis=-1)
+                       for a in (src, weight))
+    span = (cols - 1) * stride + 1
+    item, wide = src.itemsize, src.shape[3]
+    row = src.shape[2] * wide * item
+    sign = -1 if flip else 1
+    view = as_strided(src[:, k - 1:, k - 1:] if flip else src,
+                      (k, k, n, rows, span * wide),
+                      (sign * row, sign * wide * item, src.strides[0],
+                       stride * row, item), writeable=False)
+    taps = np.tile(weight, (1, 1, span))
+    if stride == 1 and wide == c:
+        # out's W and C axes merge into the einsum's rows: write in place
+        np.einsum("ijnhx,ijx->nhx", view, taps,
+                  out=out.reshape(n, rows, cols * c))
+    else:
+        full = np.einsum("ijnhx,ijx->nhx", view, taps)
+        out[...] = full.reshape(n, rows, span, wide)[:, :, ::stride, :c]
 
 
 class Conv2D(Module):
@@ -237,22 +278,12 @@ class DepthwiseConv2D(Module):
                                        self.padding)
             out_w = F.conv_output_size(x.shape[2], self.kernel, self.stride,
                                        self.padding)
-            # shift-and-add over k^2 taps, each an (N, Ho, Wo*C) window
-            # scaled by its tap's weight tiled along the row.  Never
-            # materializes the (N, Ho, Wo, C, k, k) patch tensor, which for
-            # wide CIFAR-100 candidates would be gigabytes.
-            s = self.stride
-            phases = {(p, q): np.ascontiguousarray(padded[:, p::s, q::s])
-                      for p, q in self._phases()}
-            out = np.zeros((x.shape[0], out_h, out_w * self.channels),
+            out = np.empty((x.shape[0], out_h, out_w, self.channels),
                            dtype=FLOAT)
-            scratch = np.empty_like(out)
-            for (i, j), tap in self._taps(weight, out_w):
-                np.multiply(self._window(phases, i, j, out_h, out_w), tap,
-                            out=scratch)
-                out += scratch
+            _sum_taps(np.ascontiguousarray(padded, dtype=FLOAT), weight, out,
+                      self.stride, flip=False)
             self._cache = (padded, (out_h, out_w), pad_h, pad_w, weight)
-            return out.reshape(x.shape[0], out_h, out_w, self.channels)
+            return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         with prof.kernel("nn.dwconv.bwd"):
@@ -265,26 +296,19 @@ class DepthwiseConv2D(Module):
             if self.weight_quantizer is not None:
                 dweight = self.weight_quantizer.backward(dweight)
             self.weight.accumulate_grad(dweight)
-            # the transpose of forward: each tap's scaled gradient adds into
-            # its window of a zero phase sub-grid, in forward's tap order
-            rows = np.ascontiguousarray(grad).reshape(grad.shape[0], out_h,
-                                                      -1)
-            s = self.stride
-            dphases = {(p, q): np.zeros(padded[:, p::s, q::s].shape,
-                                        dtype=FLOAT)
-                       for p, q in self._phases()}
-            scratch = np.empty_like(rows)
-            for (i, j), tap in self._taps(weight, out_w):
-                np.multiply(rows, tap, out=scratch)
-                window = self._window(dphases, i, j, out_h, out_w)
-                window += scratch
-            if s == 1:
-                dx_padded = dphases[0, 0]
-            else:
-                dx_padded = np.zeros(padded.shape, dtype=FLOAT)
-                for (p, q), dphase in dphases.items():
-                    dx_padded[:, p::s, q::s] = dphase
-            dx = F.crop_padding(dx_padded, pad_h, pad_w)
+            # the scatter's gather form: dx[p, q] sums frame[p-i, q-j] *
+            # weight[i, j], the frame holding grad dilated by the stride in
+            # a zero border; its zeros add +-0 to a +0 accumulator, which
+            # never turns -0.  dx stays a crop of a padded buffer, whose
+            # strides set later layers' summation order.
+            k, s = self.kernel, self.stride
+            dx = F.crop_padding(np.empty(padded.shape, dtype=FLOAT), pad_h,
+                                pad_w)
+            n, h, w, c = dx.shape
+            frame = np.zeros((n, h + k - 1, w + k - 1, c), dtype=FLOAT)
+            frame[:, k - 1 - pad_h[0]::s, k - 1 - pad_w[0]::s][
+                :, :out_h, :out_w] = grad
+            _sum_taps(frame, weight, dx, 1, flip=True)
             if self.input_quantizer is not None:
                 dx = self.input_quantizer.backward(dx)
             self._cache = None
@@ -319,34 +343,6 @@ class DepthwiseConv2D(Module):
                 dweight[i, j] = F.channel_sum(
                     padded[:, i:i + span_h:s, j:j + span_w:s], grad)
         return dweight
-
-    def _phases(self) -> list:
-        """The ``(p, q)`` offsets of the stride phases any tap reads."""
-        used = range(min(self.kernel, self.stride))
-        return [(p, q) for p in used for q in used]
-
-    def _taps(self, weight: np.ndarray, out_w: int):
-        """``((i, j), row)`` per tap in i-major order; ``row`` is the tap's
-        per-channel weight tiled along one ``Wo*C`` output row."""
-        rows = np.tile(weight, (1, 1, out_w))
-        for i in range(self.kernel):
-            for j in range(self.kernel):
-                yield (i, j), rows[i, j]
-
-    def _window(self, phases: dict, i: int, j: int, out_h: int,
-                out_w: int) -> np.ndarray:
-        """Tap ``(i, j)``'s ``(N, Ho, Wo*C)`` window.
-
-        Tap ``(i, j)`` at stride ``s`` reads rows ``i, i+s, ...`` and
-        columns ``j, j+s, ...``: a stride-1 window of phase sub-grid
-        ``(i % s, j % s)``, whose W and C axes form one contiguous row.
-        """
-        s, c = self.stride, self.channels
-        phase = phases[i % s, j % s]
-        n, h, w = phase.shape[:3]
-        rows = phase.reshape(n, h, w * c)
-        top, left = i // s, (j // s) * c
-        return rows[:, top:top + out_h, left:left + out_w * c]
 
     def __repr__(self) -> str:
         return (f"DepthwiseConv2D(c={self.channels}, k={self.kernel}, "

@@ -7,9 +7,10 @@ is NHWC throughout the framework.
 
 Training results are bit-exact across kernel rewrites, so the per-channel
 helpers here reproduce numpy's own bytes: :func:`channel_sum` adds the rows
-in the order ``ndarray.sum`` does, and :func:`channel_rows` tiles a
+in the order ``ndarray.sum`` does, :func:`channel_rows` tiles a
 per-channel vector instead of broadcasting it, which changes the inner
-loop's length but not one elementwise result.
+loop's length but not one elementwise result, and :func:`masked` selects
+a gradient with ``np.where``'s bytes in one bitwise pass.
 """
 
 from __future__ import annotations
@@ -157,3 +158,17 @@ def channel_rows(*arrays: np.ndarray) -> tuple:
         reps = views[0].shape[1] // c
         return views + (lambda v: np.tile(v, reps),)
     return arrays + (lambda v: v,)
+
+
+def masked(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` where boolean ``mask`` holds and +0 elsewhere, as float32.
+
+    The exact bytes and memory layout of ``np.where(mask, x, 0).astype(
+    float32, copy=False)``, NaN payloads and signed zeros included, in one
+    bitwise pass: ``x``'s float32 bits ANDed with the mask widened to
+    0 / -1.  ``np.where``'s select runs an order of magnitude slower on the
+    activation and STE gradients this masks.  Both allocate their result
+    in the operands' common memory order, so the layouts agree as well.
+    """
+    bits = np.asarray(x, dtype=FLOAT).view(np.int32)
+    return np.bitwise_and(bits, np.negative(mask.view(np.int8))).view(FLOAT)

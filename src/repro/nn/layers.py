@@ -208,12 +208,12 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0).astype(FLOAT, copy=False)
+        return F.masked(self._mask, x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        dx = np.where(self._mask, grad, 0).astype(FLOAT, copy=False)
+        dx = F.masked(self._mask, grad)
         self._mask = None
         return dx
 
@@ -226,15 +226,18 @@ class ReLU6(Module):
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = (x > 0) & (x < 6)
-        return np.clip(x, 0.0, 6.0).astype(FLOAT, copy=False)
+        with prof.kernel("nn.relu6.fwd"):
+            self._mask = (x > 0) & (x < 6)
+            return np.clip(x, 0.0, 6.0).astype(FLOAT, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        dx = np.where(self._mask, grad, 0).astype(FLOAT, copy=False)
-        self._mask = None
-        return dx
+        with prof.kernel("nn.relu6.bwd"):
+            if self._mask is None:
+                raise RuntimeError(
+                    f"{self.name}: backward called before forward")
+            dx = F.masked(self._mask, grad)
+            self._mask = None
+            return dx
 
 
 class GlobalAvgPool2D(Module):

@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..nn import functional as F
 from ..nn.module import FLOAT
 from ..obs import profile as prof
 from .observers import MinMaxObserver, Observer
@@ -208,7 +209,7 @@ class ActivationQuantizer:
         if self._mask is None:
             # calibration mode (or backward without forward): pass through
             return grad
-        out = np.where(self._mask, grad, 0).astype(FLOAT, copy=False)
+        out = F.masked(self._mask, grad)
         self._mask = None
         return out
 

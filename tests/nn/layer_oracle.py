@@ -1,9 +1,10 @@
-"""Test-only reference versions of ``DepthwiseConv2D`` and ``BatchNorm2D``.
+"""Test-only reference versions of the training layers' kernels.
 
-These are the original broadcast-and-reduce formulations of both layers,
-frozen here as the oracle the production kernels must match byte for byte:
-per-tap shift-and-add loops for the depthwise convolution, and
-``x.mean``/``x.var`` with per-channel broadcasts for batch normalization.
+These are the original formulations, frozen here as the oracle the
+production kernels must match byte for byte: per-tap shift-and-add loops
+for the depthwise convolution, ``x.mean``/``x.var`` with per-channel
+broadcasts for batch normalization, and ``np.where`` gradient masks for
+``ReLU6`` and the activation quantizer's straight-through estimator.
 Every result of the training loop (scores, accuracies, the search digest)
 depends on these exact bytes, including the memory layout of each output,
 because a layout decides the summation order of the next reduction.
@@ -15,8 +16,14 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.conv import DepthwiseConv2D
-from repro.nn.layers import BatchNorm2D
+from repro.nn.layers import BatchNorm2D, ReLU6
 from repro.nn.module import FLOAT
+from repro.quant import ActivationQuantizer
+
+
+def where_mask(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The reference gradient mask: ``grad`` where ``mask``, +0 elsewhere."""
+    return np.where(mask, grad, 0).astype(FLOAT, copy=False)
 
 
 class OracleDepthwiseConv2D(DepthwiseConv2D):
@@ -123,3 +130,29 @@ class OracleBatchNorm2D(BatchNorm2D):
             - x_hat * (dx_hat * x_hat).sum(axis=axes))
         self._cache = None
         return dx.astype(FLOAT, copy=False)
+
+
+class OracleReLU6(ReLU6):
+    """``ReLU6`` with the reference ``np.where`` gradient mask."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._mask = (x > 0) & (x < 6)
+        return np.clip(x, 0.0, 6.0).astype(FLOAT, copy=False)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            raise RuntimeError(f"{self.name}: backward called before forward")
+        dx = where_mask(self._mask, grad)
+        self._mask = None
+        return dx
+
+
+class OracleActivationQuantizer(ActivationQuantizer):
+    """``ActivationQuantizer`` with the reference ``np.where`` STE mask."""
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            return grad
+        out = where_mask(self._mask, grad)
+        self._mask = None
+        return out

@@ -2,8 +2,9 @@
 
 Layer-level oracle tests compare one call at a time; this runs a whole
 unit-scale search twice in one process, once as shipped and once with the
-frozen reference ``DepthwiseConv2D`` and ``BatchNorm2D`` patched into the
-model builder, and requires bit-identical trials.  Every candidate has an
+frozen reference ``DepthwiseConv2D``, ``BatchNorm2D`` and ``ReLU6`` patched
+into the model builder and the reference straight-through mask into the
+quantizer, and requires bit-identical trials.  Every candidate has an
 expansion-1 first block, so its depthwise conv and the stem's batch norm
 read the kxk stem conv's channel-major output: the layout path a layer
 test alone can get right while the search still drifts.
@@ -15,8 +16,10 @@ from repro.data import make_synthetic_dataset
 from repro.nas import BOMPNAS, SearchConfig, get_mode
 from repro.nas.trial import genome_to_dict
 from repro.nn import blocks
+from repro.quant import apply
 
-from .layer_oracle import OracleBatchNorm2D, OracleDepthwiseConv2D
+from .layer_oracle import (OracleActivationQuantizer, OracleBatchNorm2D,
+                           OracleDepthwiseConv2D, OracleReLU6)
 
 
 def _trials(scale):
@@ -37,15 +40,23 @@ def test_search_matches_reference_kernels(unit_scale, monkeypatch):
     assert len(production) == 2
     assert all(genome["blocks"][0][2] == 1 for genome, *_ in production)
 
-    built = []
+    built = set()
 
-    class CountedBatchNorm(OracleBatchNorm2D):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
+    def counted(oracle):
+        class Counted(oracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.add(oracle)
+        return Counted
 
-    monkeypatch.setattr(blocks, "DepthwiseConv2D", OracleDepthwiseConv2D)
-    monkeypatch.setattr(blocks, "BatchNorm2D", CountedBatchNorm)
+    monkeypatch.setattr(blocks, "DepthwiseConv2D",
+                        counted(OracleDepthwiseConv2D))
+    monkeypatch.setattr(blocks, "BatchNorm2D", counted(OracleBatchNorm2D))
+    monkeypatch.setattr(blocks, "ReLU6", counted(OracleReLU6))
+    monkeypatch.setattr(apply, "ActivationQuantizer",
+                        counted(OracleActivationQuantizer))
     reference = _trials(scale)
-    assert built, "the reference classes were never instantiated"
+    assert built == {OracleDepthwiseConv2D, OracleBatchNorm2D, OracleReLU6,
+                     OracleActivationQuantizer}, \
+        "a reference class was never instantiated"
     assert production == reference
