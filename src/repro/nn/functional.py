@@ -55,7 +55,12 @@ def pad_input(x: np.ndarray, kernel: int, stride: int,
     """Zero-pad an NHWC batch for a square-kernel convolution.
 
     Returns the padded tensor and the (before, after) padding used on the
-    height and width axes so the backward pass can crop its result.
+    height and width axes so the backward pass can crop its result.  The
+    tensor has the bytes, dtype and strides of ``np.pad(x, ((0, 0), pad_h,
+    pad_w, (0, 0)))``: a +0 buffer in ``np.pad``'s memory order (Fortran
+    only for input that is F- but not C-contiguous) with ``x`` copied in,
+    without ``np.pad``'s per-axis bookkeeping, which cost more than the
+    fill and the copy at the shapes training pads.
     """
     if x.ndim != 4:
         raise ValueError(f"expected NHWC input, got shape {x.shape}")
@@ -63,11 +68,14 @@ def pad_input(x: np.ndarray, kernel: int, stride: int,
         return x, (0, 0), (0, 0)
     if padding != "same":
         raise ValueError(f"unknown padding mode {padding!r}")
-    pad_h = same_padding(x.shape[1], kernel, stride)
-    pad_w = same_padding(x.shape[2], kernel, stride)
+    n, h, w, c = x.shape
+    pad_h = same_padding(h, kernel, stride)
+    pad_w = same_padding(w, kernel, stride)
     if pad_h == (0, 0) and pad_w == (0, 0):
         return x, pad_h, pad_w
-    padded = np.pad(x, ((0, 0), pad_h, pad_w, (0, 0)))
+    padded = np.zeros((n, h + sum(pad_h), w + sum(pad_w), c), dtype=x.dtype,
+                      order="F" if x.flags.fnc else "C")
+    padded[:, pad_h[0]:pad_h[0] + h, pad_w[0]:pad_w[0] + w] = x
     return padded, pad_h, pad_w
 
 
@@ -132,13 +140,20 @@ def channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     runs along memory and goes pairwise, and a channel-major operand (the
     kxk conv's output) sets a different memory order.  Tier-1 property
     tests hold this equality, since it rests on numpy's loop order.
+    C-contiguous operands are summed as their ``(M, C)`` reshape, the loop
+    numpy's iterator makes of them anyway; crops and strided windows keep
+    the N-D subscripts.
     """
     operands = (a,) if b is None else (a, b)
-    if all(op.shape == a.shape and op.dtype == a.dtype and _row_ordered(op)
-           for op in operands):
-        letters = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
-        return np.einsum(",".join([letters] * len(operands)) + "->"
-                         + letters[-1], *operands)
+    if all(op.shape == a.shape and op.dtype == a.dtype for op in operands):
+        if (a.ndim >= 2 and a.shape[-1] >= 2
+                and all(op.flags.c_contiguous for op in operands)):
+            rows = [op.reshape(-1, a.shape[-1]) for op in operands]
+            return np.einsum(",".join(["ij"] * len(rows)) + "->j", *rows)
+        if all(_row_ordered(op) for op in operands):
+            letters = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
+            return np.einsum(",".join([letters] * len(operands)) + "->"
+                             + letters[-1], *operands)
     return (a if b is None else a * b).sum(axis=tuple(range(a.ndim - 1)))
 
 
@@ -151,12 +166,20 @@ def channel_rows(*arrays: np.ndarray) -> tuple:
     Otherwise the arrays come back as they are and ``tile`` returns ``v``
     itself: a broadcast keeps its operands' memory order in its result,
     and that order sets the summation order of every later reduction.
+    ``tile`` fills a ``(reps, C)`` buffer: the bytes of ``np.tile(v,
+    reps)`` without its per-call overhead, which dominates at these sizes.
     """
     if all(x.flags.c_contiguous for x in arrays):
         n, c = arrays[0].shape[0], arrays[0].shape[-1]
         views = tuple(x.reshape(n, -1) for x in arrays)
         reps = views[0].shape[1] // c
-        return views + (lambda v: np.tile(v, reps),)
+
+        def tile(v: np.ndarray) -> np.ndarray:
+            out = np.empty((reps, c), dtype=v.dtype)
+            out[...] = v
+            return out.reshape(-1)
+
+        return views + (tile,)
     return arrays + (lambda v: v,)
 
 

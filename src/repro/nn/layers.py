@@ -122,25 +122,27 @@ class BatchNorm2D(Module):
                 raise ValueError(
                     f"{self.name}: expected {self.channels} channels, "
                     f"got {x.shape[-1]}")
-            axes = tuple(range(x.ndim - 1))
             # A C-contiguous input is normalised as (N, H*W*C) rows; any
             # other layout (the kxk conv's channel-major output) keeps
             # numpy's own reductions and broadcasts, whose output layout
-            # sets the summation order of every later layer.
+            # sets the summation order of every later layer.  Each step
+            # after the first writes into an array allocated here, never
+            # into x (DESIGN.md, *Training kernels*).
             rows, tile = F.channel_rows(x)
             if self.training:
-                count = int(np.prod([x.shape[a] for a in axes]))
+                count = x.size // self.channels
                 if x.flags.c_contiguous:
                     # one channel sum serves the mean, one centred tensor
                     # serves both the variance and x_hat
                     mean = F.channel_sum(x) / count
-                    centred = rows - tile(mean)
-                    centred_nhwc = centred.reshape(x.shape)
-                    var = F.channel_sum(centred_nhwc, centred_nhwc) / count
+                    x_hat = rows - tile(mean)
+                    centred = x_hat.reshape(x.shape)
+                    var = F.channel_sum(centred, centred) / count
                 else:
+                    axes = tuple(range(x.ndim - 1))
                     mean = x.mean(axis=axes)
                     var = x.var(axis=axes)
-                    centred = x - mean
+                    x_hat = x - mean
                 self.running_mean = (
                     self.momentum * self.running_mean
                     + (1 - self.momentum) * mean).astype(FLOAT)
@@ -151,11 +153,12 @@ class BatchNorm2D(Module):
                     + (1 - self.momentum) * unbiased).astype(FLOAT)
             else:
                 var = self.running_var
-                centred = rows - tile(self.running_mean)
+                x_hat = rows - tile(self.running_mean)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = centred * tile(inv_std)
-            out = tile(self.gamma.data) * x_hat + tile(self.beta.data)
-            self._cache = (x_hat.reshape(x.shape), inv_std, axes, x.shape)
+            x_hat *= tile(inv_std)
+            out = x_hat * tile(self.gamma.data)
+            out += tile(self.beta.data)
+            self._cache = (x_hat.reshape(x.shape), inv_std)
             return out.reshape(x.shape).astype(FLOAT, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -163,25 +166,37 @@ class BatchNorm2D(Module):
             if self._cache is None:
                 raise RuntimeError(
                     f"{self.name}: backward called before forward")
-            x_hat, inv_std, axes, shape = self._cache
+            x_hat, inv_std = self._cache
+            self._cache = None
             grad = grad.astype(FLOAT, copy=False)
             self.gamma.accumulate_grad(F.channel_sum(grad, x_hat))
             self.beta.accumulate_grad(F.channel_sum(grad))
             g, x_rows, tile = F.channel_rows(grad, x_hat)
+            dx_hat = g * tile(self.gamma.data)
             if not self.training:
                 # inference: mean/var are constants
-                dx = g * tile(self.gamma.data) * tile(inv_std)
-                self._cache = None
-                return dx.reshape(shape).astype(FLOAT, copy=False)
-            count = int(np.prod([shape[a] for a in axes]))
-            dx_hat = g * tile(self.gamma.data)
-            dx_hat_nhwc = dx_hat.reshape(shape)
-            dx = tile(inv_std / count) * (
-                count * dx_hat
-                - tile(F.channel_sum(dx_hat_nhwc))
-                - x_rows * tile(F.channel_sum(dx_hat_nhwc, x_hat)))
-            self._cache = None
-            return dx.reshape(shape).astype(FLOAT, copy=False)
+                dx_hat *= tile(inv_std)
+                return dx_hat.reshape(x_hat.shape).astype(FLOAT, copy=False)
+            count = x_hat.size // self.channels
+            dx_hat_nhwc = dx_hat.reshape(x_hat.shape)
+            sum_dx_hat = tile(F.channel_sum(dx_hat_nhwc))
+            proj = x_rows * tile(F.channel_sum(dx_hat_nhwc, x_hat))
+            if g is not grad and proj.dtype == dx_hat.dtype:
+                # rows (channel_rows returned views) and no float64 x_hat
+                # widening the result: dx_hat's buffer already has the
+                # result's layout and dtype, so dx builds in it
+                dx = dx_hat
+                dx *= count
+                dx -= sum_dx_hat
+                dx -= proj
+                dx *= tile(inv_std / count)
+            else:
+                # mixed layouts: the subtraction allocates in the common
+                # memory order of dx_hat and x_hat, which an in-place dx
+                # would not keep
+                dx = tile(inv_std / count) * (count * dx_hat - sum_dx_hat
+                                              - proj)
+            return dx.reshape(x_hat.shape).astype(FLOAT, copy=False)
 
     def fold_scale_shift(self) -> tuple:
         """Equivalent per-channel ``(scale, shift)`` for BN folding.

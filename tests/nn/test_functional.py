@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
+
+from .test_layer_oracle import _layout, _values
 
 
 class TestSamePadding:
@@ -97,3 +101,59 @@ class TestPatches:
     def test_pad_input_rejects_non_nhwc(self, rng):
         with pytest.raises(ValueError):
             F.pad_input(np.zeros((3, 3)), 3, 1, "same")
+
+
+def _pad_layout(x, kind):
+    """``x`` F-contiguous, or in one of the layer oracle's layouts."""
+    return np.asfortranarray(x) if kind == "fortran" else _layout(x, kind)
+
+
+pad_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "n": st.integers(1, 3), "h": st.integers(1, 9), "w": st.integers(1, 9),
+    "c": st.integers(1, 6), "kernel": st.integers(1, 7),
+    "stride": st.sampled_from([1, 2]),
+    "padding": st.sampled_from(["same", "valid"]),
+    "layout": st.sampled_from(["contiguous", "channel_major", "fortran",
+                               "cropped"]),
+    # int32: the integer engine's reference interpreter pads codes
+    "dtype": st.sampled_from([np.float32, np.float64, np.int32]),
+})
+
+
+class TestPadTileParity:
+    """The hand-rolled pad and tile against the numpy calls they replace."""
+
+    @given(case=pad_cases)
+    @settings(max_examples=300, deadline=None)
+    def test_pad_input_is_np_pad(self, case):
+        rng = np.random.default_rng(case["seed"])
+        h, w, k = case["h"], case["w"], case["kernel"]
+        if case["padding"] == "valid":
+            h, w = max(h, k), max(w, k)
+        x = _values(rng, (case["n"], h, w, case["c"]), signed_zeros=True)
+        x = _pad_layout(x.astype(case["dtype"]), case["layout"])
+        padded, pad_h, pad_w = F.pad_input(x, k, case["stride"],
+                                           case["padding"])
+        if pad_h == (0, 0) and pad_w == (0, 0):
+            assert padded is x
+            return
+        want = np.pad(x, ((0, 0), pad_h, pad_w, (0, 0)))
+        assert padded.dtype == want.dtype
+        assert padded.shape == want.shape
+        assert padded.strides == want.strides
+        assert padded.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 40),
+           pixels=st.integers(1, 30),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=200, deadline=None)
+    def test_channel_rows_tile_is_np_tile(self, seed, c, pixels, dtype):
+        rng = np.random.default_rng(seed)
+        x = np.zeros((2, pixels, 1, c), dtype=np.float32)
+        _, tile = F.channel_rows(x)
+        v = _values(rng, (c,), signed_zeros=True).astype(dtype)
+        got, want = tile(v), np.tile(v, pixels)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -215,35 +215,122 @@ class TestDepthwiseOracle:
         _check_dwconv(case)
 
 
+def _bn_case(shape, training=True, x_layout="contiguous",
+             grad_layout="contiguous", zeros=None):
+    n, h, w, c = shape
+    return {"seed": n * h * w * c + training, "n": n, "h": h, "w": w,
+            "c": c, "training": training, "x_layout": x_layout,
+            "grad_layout": grad_layout, "zeros": zeros}
+
+
+#: batch norms a seed-1 ``perfbench`` search trains, on the rows path
+BN_SEARCH_SHAPES = [
+    _bn_case(shape, training)
+    for shape in [(32, 12, 12, 6), (32, 12, 12, 12), (32, 12, 12, 35),
+                  (32, 6, 6, 96), (32, 3, 3, 1280)]
+    for training in (True, False)]
+
+#: the stem's batch norm, reading the kxk conv's channel-major output
+BN_STEM = [_bn_case((32, 12, 12, c), training, "channel_major")
+           for c in (4, 6) for training in (True, False)]
+
+#: every pairing of the gradient's layout with the input's, in training:
+#: a channel-major gradient over a contiguous or cropped ``x_hat`` is
+#: where a ``dx`` built in place would keep the wrong strides
+BN_LAYOUT_PAIRS = [_bn_case((3, 5, 7, 6), True, x_layout, grad_layout)
+                   for x_layout in LAYOUTS for grad_layout in LAYOUTS]
+
+#: -0.0 in the input, gamma, beta, the gradient, and all four at once
+BN_SIGNED_ZEROS = [_bn_case((2, 6, 7, 5), training, zeros=zeros)
+                   for zeros in ("x", "gamma", "beta", "grad", "all")
+                   for training in (True, False)]
+
+#: a float64 input, whose float64 x_hat the float32 gradient meets: the
+#: in-place backward would round what the original kept wide
+BN_FLOAT64 = [dict(_bn_case((2, 6, 7, 5), training, x_layout), dtype="f8")
+              for training in (True, False)
+              for x_layout in ("contiguous", "channel_major")]
+
+
+def _bn_case_id(case):
+    """``32x12x12x35-train-contiguous-contiguous`` plus signed zeros and a
+    non-float32 input dtype."""
+    shape = "x".join(str(case[key]) for key in ("n", "h", "w", "c"))
+    parts = [shape, "train" if case["training"] else "infer",
+             case["x_layout"], case["grad_layout"]]
+    if case.get("zeros"):
+        parts.append(f"neg0-{case['zeros']}")
+    if case.get("dtype"):
+        parts.append(case["dtype"])
+    return "-".join(parts)
+
+
+def _check_bn(case):
+    """Both batch norms on one case: identical bytes and layouts."""
+    zeros = case.get("zeros")
+    signed = zeros is not None
+    rng = np.random.default_rng(case["seed"])
+    c = case["c"]
+    layers = [BatchNorm2D(c), OracleBatchNorm2D(c)]
+    running_mean = _values(rng, (c,))
+    running_var = rng.uniform(0.2, 3.0, size=c).astype(np.float32)
+    gamma = _values(rng, (c,), offset=1.0, signed_zeros=signed)
+    beta = _values(rng, (c,), signed_zeros=signed)
+    if zeros in ("gamma", "all"):
+        gamma[...] = -0.0
+    if zeros in ("beta", "all"):
+        beta[...] = -0.0
+    for layer in layers:
+        layer.training = case["training"]
+        layer.running_mean = running_mean.copy()
+        layer.running_var = running_var.copy()
+        layer.gamma.data[...] = gamma
+        layer.beta.data[...] = beta
+    x = _values(rng, (case["n"], case["h"], case["w"], c),
+                offset=float(rng.normal()), signed_zeros=signed)
+    if zeros in ("x", "all"):
+        x[...] = -0.0
+    x = _layout(x.astype(case.get("dtype", "f4")), case["x_layout"])
+    out, want_out = (layer.forward(x) for layer in layers)
+    assert _same(out, want_out)
+    for name in ("running_mean", "running_var"):
+        assert _same(getattr(layers[0], name), getattr(layers[1], name))
+    grad = _values(rng, out.shape, signed_zeros=signed)
+    if zeros in ("grad", "all"):
+        grad[...] = -0.0
+    grad = _layout(grad, case["grad_layout"])
+    dx, want_dx = (layer.backward(grad) for layer in layers)
+    assert _same(dx, want_dx)
+    for name in ("gamma", "beta"):
+        assert _same(getattr(layers[0], name).grad,
+                     getattr(layers[1], name).grad)
+
+
 class TestBatchNormOracle:
     @given(case=bn_cases)
     @settings(max_examples=250, deadline=None)
     def test_forward_backward_bytes(self, case):
-        rng = np.random.default_rng(case["seed"])
-        c = case["c"]
-        layers = [BatchNorm2D(c), OracleBatchNorm2D(c)]
-        running_mean = _values(rng, (c,))
-        running_var = rng.uniform(0.2, 3.0, size=c).astype(np.float32)
-        gamma = _values(rng, (c,), offset=1.0)
-        beta = _values(rng, (c,))
-        for layer in layers:
-            layer.training = case["training"]
-            layer.running_mean = running_mean.copy()
-            layer.running_var = running_var.copy()
-            layer.gamma.data[...] = gamma
-            layer.beta.data[...] = beta
-        x = _layout(_values(rng, (case["n"], case["h"], case["w"], c),
-                            offset=float(rng.normal())), case["x_layout"])
-        out, want_out = (layer.forward(x) for layer in layers)
-        assert _same(out, want_out)
-        for name in ("running_mean", "running_var"):
-            assert _same(getattr(layers[0], name), getattr(layers[1], name))
-        grad = _layout(_values(rng, out.shape), case["grad_layout"])
-        dx, want_dx = (layer.backward(grad) for layer in layers)
-        assert _same(dx, want_dx)
-        for name in ("gamma", "beta"):
-            assert _same(getattr(layers[0], name).grad,
-                         getattr(layers[1], name).grad)
+        _check_bn(case)
+
+    @pytest.mark.parametrize("case", BN_SEARCH_SHAPES, ids=_bn_case_id)
+    def test_search_shapes(self, case):
+        _check_bn(case)
+
+    @pytest.mark.parametrize("case", BN_STEM, ids=_bn_case_id)
+    def test_stem_channel_major(self, case):
+        _check_bn(case)
+
+    @pytest.mark.parametrize("case", BN_LAYOUT_PAIRS, ids=_bn_case_id)
+    def test_layout_pairs(self, case):
+        _check_bn(case)
+
+    @pytest.mark.parametrize("case", BN_SIGNED_ZEROS, ids=_bn_case_id)
+    def test_signed_zeros(self, case):
+        _check_bn(case)
+
+    @pytest.mark.parametrize("case", BN_FLOAT64, ids=_bn_case_id)
+    def test_float64_input(self, case):
+        _check_bn(case)
 
     def test_dead_channel_grad_keeps_its_sign_of_zero(self):
         """A channel whose output grad is all zero gets the oracle's zeros."""
