@@ -6,11 +6,13 @@
 # Steps:
 #   1. tier-1 pytest (slow/bench marked tests stay opted out via addopts),
 #      then the training kernels' byte-exactness oracles, the pad and tile
-#      parity properties (tests/nn/test_functional.py) and the layers'
-#      no-writes-into-inputs property (tests/nn/test_immutability.py)
-#      again under three more fixed hypothesis seeds: their equality rests
-#      on numpy's loop and allocation order, so each CI run checks four
-#      times the shapes tier-1 does
+#      parity properties (tests/nn/test_functional.py), the layers'
+#      no-writes-into-inputs property (tests/nn/test_immutability.py), and
+#      the integer engine's drawn-stage and drawn-genome properties
+#      (tests/infer/test_stage_property.py, test_space_parity.py) again
+#      under three more fixed hypothesis seeds: their equality rests on
+#      numpy's loop and allocation order and on einsum's strided views,
+#      so each CI run checks four times the shapes tier-1 does
 #   2. schema validation of a freshly traced+profiled run's events.jsonl
 #      (exercises the full span/metric/profile event surface), then that
 #      run's hotspot table, so every CI log shows where training time goes
@@ -37,7 +39,8 @@ for seed in 1 2 3; do
     echo "== exactness oracles, hypothesis seed $seed =="
     python -m pytest -x -q --hypothesis-seed "$seed" \
         tests/nn/test_layer_oracle.py tests/nn/test_channel_sum.py \
-        tests/nn/test_functional.py tests/nn/test_immutability.py
+        tests/nn/test_functional.py tests/nn/test_immutability.py \
+        tests/infer/test_stage_property.py tests/infer/test_space_parity.py
 done
 
 echo "== schema: freshly traced+profiled run =="

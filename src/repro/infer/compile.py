@@ -73,9 +73,10 @@ class Stage:
     """One compiled op: all-integer parameters plus report metadata.
 
     Immutable once built: the fused execution operands (``w2d``,
-    ``bias_fused``, ``rq``, ``res_rq``) are derived from the reference
-    fields at construction, and every array is read-only, so one stage
-    can be shared by any number of executors and threads.
+    ``contraction``, ``taps``, ``bias_fused``, ``rq``, ``res_rq``) are
+    derived from the reference fields at construction, and every array
+    is read-only, so one stage can be shared by any number of executors
+    and threads.
     """
 
     name: str
@@ -112,8 +113,17 @@ class Stage:
     weight_count: int = 0
     out_channels: int = 0
     # -- fused execution operands (derived at construction) ------------------
-    #: contraction-ready 2-D weight view ``(c*kh*kw, cout)`` (conv/dense)
+    #: contraction-ready 2-D weight (conv/dense), laid out so that the
+    #: einsum's inner loop runs along the longer of K = c*kh*kw and
+    #: N = cout: ``(K, N)`` when N >= K, else its contiguous transpose
     w2d: Optional[np.ndarray] = field(default=None, init=False)
+    #: the ``np.einsum`` subscripts contracting im2col rows with ``w2d``:
+    #: ``"mk,kn->mn"`` or ``"mk,nk->mn"``
+    contraction: Optional[str] = field(default=None, init=False)
+    #: depthwise weight tiled along one output row, ``(k, k, span*c)``
+    #: with ``span = (wo - 1) * stride + 1``: the einsum operand that
+    #: multiplies every column of a tap's row view at once (dw)
+    taps: Optional[np.ndarray] = field(default=None, init=False)
     #: ``bias_acc - in_zp * colsum(weight)``: folding the input zero point
     #: into the bias lets the engine contract *raw* codes (padding with
     #: ``in_zp``) instead of shifting every activation tensor first —
@@ -133,17 +143,20 @@ class Stage:
                                                   self.res_shift)
         w = self.weight
         if w is not None:
-            if self.kind == "conv":
-                # im2col row order (c, kh, kw); a 1x1 kernel is just (c, cout)
-                derived["w2d"] = np.ascontiguousarray(
-                    w.transpose(2, 0, 1, 3).reshape(-1, w.shape[3]),
-                    dtype=np.int32)
-                colsum = w.sum(axis=(0, 1, 2), dtype=np.int64)
-            elif self.kind == "dw":
+            if self.kind == "dw":
+                span = (self.out_shape[1] - 1) * self.stride + 1
+                derived["taps"] = np.tile(w, (1, 1, span)).astype(
+                    np.int32, copy=False)
                 colsum = w.sum(axis=(0, 1), dtype=np.int64)
-            else:  # dense
-                derived["w2d"] = np.ascontiguousarray(w, dtype=np.int32)
-                colsum = w.sum(axis=0, dtype=np.int64)
+            else:
+                # im2col row order (c, kh, kw); a 1x1 kernel is just (c, cout)
+                kn = (w.transpose(2, 0, 1, 3).reshape(-1, w.shape[3])
+                      if self.kind == "conv" else w)
+                wide = kn.shape[1] >= kn.shape[0]          # N >= K
+                derived["w2d"] = np.ascontiguousarray(kn if wide else kn.T,
+                                                      dtype=np.int32)
+                derived["contraction"] = "mk,kn->mn" if wide else "mk,nk->mn"
+                colsum = kn.sum(axis=0, dtype=np.int64)
             bias = (self.bias_acc.astype(np.int64)
                     if self.bias_acc is not None
                     else np.zeros_like(colsum))
@@ -152,10 +165,12 @@ class Stage:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         arrays = [self.weight, self.mult, self.shift, self.bias_acc,
-                  self.out_scale, self.out_bias, self.w2d, self.bias_fused]
+                  self.out_scale, self.out_bias, self.w2d, self.taps,
+                  self.bias_fused]
         for plan in (self.rq, self.res_rq):
             if plan is not None:
-                arrays += [plan.q, plan.spos, plan.sneg, plan.half]
+                arrays += [plan.q, plan.round1, plan.shift1, plan.sneg,
+                           plan.half]
         for array in arrays:
             if isinstance(array, np.ndarray):   # numpy scalars are immutable
                 array.flags.writeable = False
@@ -264,13 +279,8 @@ def _weight_codes(layer) -> Tuple[np.ndarray, np.ndarray, int]:
             f"{layer.name}: {quantizer.bits}-bit weights exceed the "
             "engine's 8-bit integer kernels")
     weights = layer.weight.data
-    axis = layer.weight_channel_axis
     scales = np.asarray(quantizer.scale_for(weights), dtype=np.float64)
-    qmax = 2 ** (quantizer.bits - 1) - 1
-    shape = [1] * weights.ndim
-    shape[axis] = -1
-    codes = np.clip(np.round(weights / scales.reshape(shape)),
-                    -qmax, qmax).astype(np.int32)
+    codes = quantizer.levels(weights).astype(np.int32)
     return codes, scales, quantizer.bits
 
 

@@ -6,14 +6,19 @@ boundary: quantizing the input image (the "ADC" step) and dequantizing
 the final classifier accumulators into logits.  Everything in between —
 convolutions, bias adds, requantization, activation clamps, residual
 adds, pooling — is integer-only, which the parity suite enforces by
-monkeypatch-forbidding float ``np.matmul`` during execution.
+monkeypatching ``np.einsum`` and ``np.matmul`` to reject float operands
+during execution.
 
 :class:`ArenaExecutor` is the engine behind :meth:`Program.run`.  It
 places every inter-stage tensor at a fixed offset in one preallocated
 int32 arena (liveness-planned by :mod:`repro.infer.plan`), contracts raw
 codes with the input zero point folded into the bias, gathers im2col
 patches into one reused cache-blocked workspace, and applies requantize
-+ zero-point add + clamp as a single fused in-place pass.  Steady-state
++ zero-point add + clamp as a single fused in-place pass.  Every
+contraction is one int32 ``np.einsum`` call: a GEMM per conv image
+block and per dense stage, and one pass over all taps per depthwise
+stage.  int32 addition is exact and associative mod 2**32, so any
+summation order gives the reference interpreter's bytes.  Steady-state
 batches perform no ndarray allocations.  The parity harness verifies
 this same path through :meth:`ArenaExecutor.step`.
 
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..nn import functional as F
 from ..obs import profile as prof
@@ -50,7 +55,7 @@ from .plan import ArenaPlan, plan_arena
 from .requant import requantize, requantize_into
 
 #: int32 elements in one im2col workspace block (512 KiB); bounds the
-#: cache-blocked GEMM tiles
+#: cache-blocked GEMM tiles, both their im2col rows and their output rows
 BLOCK_ELEMS = 512 * 1024 // 4
 
 
@@ -64,7 +69,8 @@ class ArenaExecutor:
       contiguous zero-copy view);
     - ``pad`` / ``col`` — shared padded-input and im2col workspaces,
       sized to the largest cache block any stage needs;
-    - ``acc32`` — int32 scratch for depthwise taps and the classifier;
+    - ``acc32`` — int32 scratch for strided depthwise rows and the
+      classifier;
     - ``work`` / ``work_res`` — the int64 workspaces of the fused
       requantize+zero-point+clamp pass (block-sized, reused everywhere);
     - ``fin`` / ``fout`` — float scratch for the two boundary steps.
@@ -93,6 +99,7 @@ class ArenaExecutor:
                          for i, stage in enumerate(program.stages)]
         self._allocate_buffers()
         self._views: Dict[int, Dict[int, np.ndarray]] = {}
+        self._tap_views: Dict[Tuple[int, int], Tuple] = {}
         recorder = get_recorder()
         if recorder.enabled:
             recorder.gauge("infer.arena_bytes", self.alloc_bytes)
@@ -123,8 +130,9 @@ class ArenaExecutor:
                                 w + pad_w[0] + pad_w[1])
             rec["needs_pad"] = pad_h != (0, 0) or pad_w != (0, 0)
             if stage.kind == "conv":
-                ckk = stage.w2d.shape[0]      # cin * kernel * kernel
-                per_image = rec["rows_per_image"] * ckk
+                ckk = cin * kernel * kernel
+                # a block bounds both its im2col rows and its requant rows
+                per_image = rec["rows_per_image"] * max(ckk, cout)
                 rec["ckk"] = ckk
                 rec["block_imgs"] = max(
                     1, min(self.batch, BLOCK_ELEMS // max(per_image, 1)))
@@ -155,7 +163,9 @@ class ArenaExecutor:
                 if rec["needs_pad"]:
                     ph, pw = rec["padded_hw"]
                     pad = max(pad, B * ph * pw * stage.in_shape[2])
-                acc32 = max(acc32, B * rpi * cout)
+                if rec["stride"] > 1:
+                    acc32 = max(acc32, B * stage.out_shape[0]
+                                * stage.taps.shape[2])
                 rows = max(1, min(B * rpi, BLOCK_ELEMS // max(cout, 1)))
                 rec["block_rows"] = rows
                 work = max(work, rows * cout)
@@ -324,7 +334,7 @@ class ArenaExecutor:
                     ni, *stage.out_shape[:2], cin, kernel, kernel)
                 np.copyto(block, windows)
                 lhs = block.reshape(rows, ckk)
-            np.matmul(lhs, stage.w2d, out=acc)
+            np.einsum(stage.contraction, lhs, stage.w2d, out=acc)
             acc += stage.bias_fused
             self._requant_rows(stage, acc,
                                self._saved_rows(stage, views, n,
@@ -345,29 +355,51 @@ class ArenaExecutor:
         block[:, h0:h0 + h, w0:w0 + w, :] = x[i0:i1]
         return block
 
+    def _tap_operands(self, rec: Dict, src: np.ndarray, out: np.ndarray,
+                      n: int) -> Tuple:
+        """``(rows, acc, strided)``: a depthwise stage's einsum operands.
+
+        ``rows`` reads the C-contiguous (padded) input ``src`` as
+        ``(n, hp, wp*c)`` rows: element ``[i, j, b, h, x]`` is row
+        ``h*s + i`` of image ``b`` from column ``j*c + x``, so for each tap
+        one output row's ``span*c`` columns (first window to last) are
+        contiguous, and the einsum with ``Stage.taps`` sums all ``k*k``
+        taps in one pass.  At stride 1 it writes ``out`` directly; at
+        stride s it fills the full span into ``acc32`` and ``strided``
+        keeps every s-th column.  Cached per batch size: the views
+        depend only on buffers the executor owns.
+        """
+        key = (rec["out_value"], n)
+        operands = self._tap_views.get(key)
+        if operands is None:
+            stage = rec["stage"]
+            kernel, stride = rec["kernel"], rec["stride"]
+            ho, wo, c = stage.out_shape
+            width = stage.taps.shape[2]            # span * c
+            item = src.itemsize
+            row = src.shape[2] * c * item
+            rows = as_strided(src, (kernel, kernel, n, ho, width),
+                              (row, c * item, src.strides[0],
+                               stride * row, item), writeable=False)
+            if stride == 1:
+                operands = (rows, out.reshape(n, ho, wo * c), None)
+            else:
+                acc = self.acc32[:n * ho * width].reshape(n, ho, width)
+                operands = (rows, acc, acc.reshape(n, ho, -1, c)[
+                    :, :, ::stride])
+            self._tap_views[key] = operands
+        return operands
+
     def _exec_dw(self, rec: Dict, views: Dict[int, np.ndarray],
                  n: int) -> None:
         stage = rec["stage"]
-        x = views[rec["in_value"]]
         out = views[rec["out_value"]]
-        kernel, stride = rec["kernel"], rec["stride"]
         rpi, cout = rec["rows_per_image"], rec["cout"]
-        ho, wo = stage.out_shape[:2]
-        src = self._padded_block(rec, x, 0, n)
-        span_h = (ho - 1) * stride + 1
-        span_w = (wo - 1) * stride + 1
-        tmp = self.acc32[:n * rpi * cout].reshape(n, ho, wo, cout)
-        first = True
-        for i in range(kernel):
-            for j in range(kernel):
-                window = src[:, i:i + span_h:stride,
-                             j:j + span_w:stride, :]
-                if first:
-                    np.multiply(window, stage.weight[i, j], out=out)
-                    first = False
-                else:
-                    np.multiply(window, stage.weight[i, j], out=tmp)
-                    out += tmp
+        src = self._padded_block(rec, views[rec["in_value"]], 0, n)
+        rows, acc, strided = self._tap_operands(rec, src, out, n)
+        np.einsum("ijnhx,ijx->nhx", rows, stage.taps, out=acc)
+        if strided is not None:
+            np.copyto(out, strided)
         acc2 = out.reshape(n * rpi, cout)
         acc2 += stage.bias_fused
         block_rows = rec["block_rows"]
@@ -382,7 +414,7 @@ class ArenaExecutor:
         x = views[rec["in_value"]]
         classes = stage.out_shape[0]
         acc = self.acc32[:n * classes].reshape(n, classes)
-        np.matmul(x, stage.w2d, out=acc)
+        np.einsum(stage.contraction, x, stage.w2d, out=acc)
         acc += stage.bias_fused
         scratch = self.fout[:n * classes].reshape(n, classes)
         np.multiply(acc, stage.out_scale, out=scratch)

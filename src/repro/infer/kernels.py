@@ -1,9 +1,13 @@
-"""Integer-only compute kernels for the inference engine.
+"""Integer-only compute kernels of the reference interpreter.
 
-Every function here accepts and returns integer arrays — float inputs are
-rejected, and all contractions go through :func:`numpy.matmul` explicitly
-(never the ``@`` operator) so the parity suite can monkeypatch
-``np.matmul`` to prove no float GEMM runs on the hot path.
+:meth:`~repro.infer.engine.Program.run_stage` runs these as the
+bit-identity oracle of the arena executor, which contracts through
+``np.einsum`` instead.  Every function here accepts and returns integer
+arrays — float inputs are rejected.  Contractions call
+:func:`numpy.matmul` explicitly (never the ``@`` operator) and the
+depthwise convolution shifts and adds tap by tap: another route to the
+same int32 sums (exact mod 2**32 in any order), so the oracle shares no
+contraction code with the engine it checks.
 
 Inputs to the conv/dense kernels are *zero-point-shifted* codes
 (``q - zp``) in int32; "same" padding therefore pads with literal zeros,

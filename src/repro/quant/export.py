@@ -165,16 +165,12 @@ def _write_layer(stream: io.BytesIO, layer) -> None:
     stream.write(struct.pack(f"<{weights.ndim}I", *weights.shape))
 
     if quantizer is not None and bits < 32:
-        # the exact arithmetic of quantize_symmetric: float64 scales,
-        # float64 division, round, clip — so codes * scales reproduces the
-        # fake-quantized weights bit for bit
+        # the fake quantizer's own levels and (widened) scales, so codes *
+        # scales reproduces the fake-quantized weights bit for bit
         scales = np.asarray(quantizer.scale_for(weights), dtype=np.float64)
         qmax = 2 ** (bits - 1) - 1
-        scale_shape = [1] * weights.ndim
-        scale_shape[axis] = -1
-        levels = np.clip(np.round(weights / scales.reshape(scale_shape)),
-                         -qmax, qmax).astype(np.int64)
-        codes = (levels + qmax).astype(np.uint64)  # offset-binary
+        codes = (quantizer.levels(weights) + qmax).astype(
+            np.uint64)                              # offset-binary
         packed = pack_bits(codes, bits)
     else:
         scales = np.ones(weights.shape[axis], dtype=np.float64)

@@ -49,17 +49,26 @@ def symmetric_scale(weights: np.ndarray, bits: int,
     return np.where(scale > 0, scale, 1.0)
 
 
-def quantize_symmetric(weights: np.ndarray, bits: int,
-                       channel_axis: Optional[int] = None) -> np.ndarray:
-    """Round weights onto the symmetric grid and return the dequantized copy."""
-    scale = symmetric_scale(weights, bits, channel_axis)
+def _round_to_grid(weights: np.ndarray, scale: np.ndarray, bits: int,
+                   channel_axis: Optional[int]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(levels, scale)``: ``clip(round(weights / scale))`` and ``scale``
+    broadcast along ``channel_axis``, in the dtype the division yields."""
     qmax = 2 ** (bits - 1) - 1
     if channel_axis is not None:
         shape = [1] * weights.ndim
         shape[channel_axis] = -1
         scale = scale.reshape(shape)
-    q = np.clip(np.round(weights / scale), -qmax, qmax)
-    return (q * scale).astype(FLOAT)
+    return np.clip(np.round(weights / scale), -qmax, qmax), scale
+
+
+def quantize_symmetric(weights: np.ndarray, bits: int,
+                       channel_axis: Optional[int] = None) -> np.ndarray:
+    """Round weights onto the symmetric grid and return the dequantized copy."""
+    levels, scale = _round_to_grid(
+        weights, symmetric_scale(weights, bits, channel_axis), bits,
+        channel_axis)
+    return (levels * scale).astype(FLOAT)
 
 
 class WeightQuantizer:
@@ -86,12 +95,27 @@ class WeightQuantizer:
         return grad
 
     def scale_for(self, weights: np.ndarray) -> np.ndarray:
-        """The float64 scale(s) ``forward`` would quantize ``weights`` with.
+        """The scale(s) ``forward`` would quantize ``weights`` with.
 
         Exposed so deployment (export, integer compilation) shares the
-        exact scale arithmetic of the fake-quant simulation.
+        exact scale arithmetic of the fake-quant simulation.  The dtype
+        is ``forward``'s own (float32 per channel for float32 weights);
+        widening it to float64 is exact.
         """
         return symmetric_scale(weights, self.bits, self.channel_axis)
+
+    def levels(self, weights: np.ndarray) -> np.ndarray:
+        """The int64 grid levels ``forward`` rounds ``weights`` to.
+
+        Deployment takes its weight codes from here, so the deployed
+        weights are the fake-quantized ones bit for bit.  Re-deriving
+        them with a float64 division is not enough: where ``forward``'s
+        float32 quotient lands exactly on a half, the float64 one may
+        not, and the two round to neighbouring levels.
+        """
+        levels, _ = _round_to_grid(weights, self.scale_for(weights),
+                                   self.bits, self.channel_axis)
+        return levels.astype(np.int64)
 
     def num_scales(self, weights_shape: tuple) -> int:
         """Number of 32-bit scale constants this quantizer stores on disk."""
@@ -127,14 +151,9 @@ class FixedScaleWeightQuantizer(WeightQuantizer):
         if self.bits >= 32:
             return weights
         with prof.kernel("quant.weight_fq"):
-            qmax = 2 ** (self.bits - 1) - 1
-            scale = self.scales
-            if self.channel_axis is not None:
-                shape = [1] * weights.ndim
-                shape[self.channel_axis] = -1
-                scale = scale.reshape(shape)
-            q = np.clip(np.round(weights / scale), -qmax, qmax)
-            return (q * scale).astype(FLOAT)
+            levels, scale = _round_to_grid(weights, self.scales, self.bits,
+                                           self.channel_axis)
+            return (levels * scale).astype(FLOAT)
 
     def __repr__(self) -> str:
         return (f"FixedScaleWeightQuantizer(bits={self.bits}, "

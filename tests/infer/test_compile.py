@@ -12,6 +12,7 @@ from repro.nn.pooling import AvgPool2D, Dropout, MaxPool2D
 from repro.quant import QuantizationPolicy, apply_policy, calibrate
 from repro.space import build_model
 
+from ..quant.test_quantizers import TIE_LEVELS, tie_model
 from .conftest import make_quantized_model
 
 
@@ -90,6 +91,15 @@ class TestCompile:
                 assert stage.weight.dtype.kind == "i"
                 qmax = 2 ** (stage.weight_bits - 1) - 1
                 assert np.abs(stage.weight).max() <= qmax
+
+    def test_weight_codes_are_the_fake_quantizers_levels(self, rng):
+        """The compiled codes are the levels the fake-quant reference
+        rounds to, even where its float32 quotient sits exactly on a half
+        and a float64 re-derivation would round the other way."""
+        model = tie_model()
+        calibrate(model, rng.normal(size=(4, 4, 4, 1)).astype(np.float32))
+        program = compile_model(model, 4)
+        assert program.stages[0].weight.ravel().tolist() == TIE_LEVELS
 
     def test_uncalibrated_model_rejected(self, c10_space, rng):
         model = build_model(c10_space.seed_arch(), 10, rng=rng)

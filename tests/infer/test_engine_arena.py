@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.infer import compile_model
-from repro.infer.engine import ArenaExecutor, Program
+from repro.infer.engine import BLOCK_ELEMS, ArenaExecutor, Program
 from repro.nn.conv import Conv2D, DepthwiseConv2D
 from repro.nn.layers import BatchNorm2D, Dense, Flatten, ReLU, ReLU6
 from repro.nn.network import Sequential
@@ -140,6 +140,22 @@ class TestAllocationFree:
         executor = program8.executor(16)
         assert executor.acts.nbytes == executor.plan.arena_bytes(16)
         assert executor.alloc_bytes >= executor.acts.nbytes
+
+
+class TestBlocking:
+    def test_conv_blocks_bound_requant_rows(self, program8):
+        """A conv's image block bounds its int64 requant rows as well as
+        its im2col rows: a 1x1 conv with cout >> cin (the head conv,
+        32 -> 1280) must not requantize the whole batch in one block."""
+        executor = program8.executor(256)
+        convs = [rec for rec in executor._records
+                 if rec["stage"].kind == "conv"]
+        assert convs
+        for rec in convs:
+            per_image = rec["rows_per_image"] * max(rec["ckk"], rec["cout"])
+            assert (rec["block_imgs"] == 1
+                    or rec["block_imgs"] * per_image <= BLOCK_ELEMS), \
+                rec["stage"].name
 
 
 class TestExecutorContract:

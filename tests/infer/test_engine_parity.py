@@ -46,44 +46,69 @@ class TestParity:
         assert not report.ok() or report.top1_agreement < 1.0
 
 
+def _integer_only(name, calls):
+    """``np.<name>`` wrapped to raise on any non-integer array operand.
+
+    Each passing call appends the ids of its operands to ``calls``.
+    """
+    real = getattr(np, name)
+
+    def guarded(*args, **kwargs):
+        operands = [a for a in args if not isinstance(a, str)]  # subscripts
+        for operand in operands:
+            dtype = np.asarray(operand).dtype
+            if dtype.kind not in ("i", "u"):
+                raise AssertionError(
+                    f"float {name} on the hot path: {dtype}")
+        calls.append({id(operand) for operand in operands})
+        return real(*args, **kwargs)
+
+    return guarded
+
+
+def _guard_contractions(monkeypatch):
+    calls = []
+    for name in ("matmul", "einsum"):
+        monkeypatch.setattr(np, name, _integer_only(name, calls))
+    return calls
+
+
 class TestNoFloatHotPath:
     def test_run_never_matmuls_floats(self, program8, infer_dataset,
                                       monkeypatch):
-        """Monkeypatch np.matmul to forbid float operands during run().
+        """Monkeypatch np.matmul and np.einsum to forbid float operands
+        during run().
 
         The only float arithmetic allowed is at the program boundary
-        (input quantize, dense dequantize) and neither uses matmul.
+        (input quantize, dense dequantize) and neither contracts.  Every
+        conv, depthwise and dense stage must contract its own weight
+        operand through the guard in every batch, so no stage can slip
+        past it on another numpy entry point.
         """
-        real_matmul = np.matmul
-        calls = []
-
-        def guarded(a, b, *args, **kwargs):
-            for operand in (a, b):
-                dtype = np.asarray(operand).dtype
-                if dtype.kind not in ("i", "u"):
-                    raise AssertionError(
-                        f"float matmul on the hot path: {dtype}")
-            calls.append(1)
-            return real_matmul(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", guarded)
+        calls = _guard_contractions(monkeypatch)
         logits = program8.run(infer_dataset.x_test[:32], batch_size=16)
         assert logits.shape == (32, 10)
-        assert calls  # the guard actually saw the GEMMs
+        batches = 2
+        for stage in program8.stages:
+            if stage.kind not in ("conv", "dw", "dense"):
+                continue
+            weight = stage.taps if stage.kind == "dw" else stage.w2d
+            seen = sum(id(weight) in operands for operands in calls)
+            assert seen >= batches, (stage.name, seen)
 
     def test_guard_fires_on_float(self, monkeypatch):
-        """Sanity: the guard in the previous test is not a no-op."""
-        real_matmul = np.matmul
-
-        def guarded(a, b, *args, **kwargs):
-            for operand in (a, b):
-                if np.asarray(operand).dtype.kind not in ("i", "u"):
-                    raise AssertionError("float matmul")
-            return real_matmul(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", guarded)
-        with pytest.raises(AssertionError):
-            np.matmul(np.ones((2, 2)), np.ones((2, 2)))
+        """Sanity: both wrappers in the previous test reject floats and
+        pass integers through."""
+        calls = _guard_contractions(monkeypatch)
+        ints = np.ones((2, 2), dtype=np.int32)
+        with pytest.raises(AssertionError, match="float matmul"):
+            np.matmul(ints, np.ones((2, 2)))
+        with pytest.raises(AssertionError, match="float einsum"):
+            np.einsum("mk,kn->mn", ints, np.ones((2, 2)))
+        assert not calls
+        np.matmul(ints, ints)
+        np.einsum("mk,nk->mn", ints, ints)
+        assert len(calls) == 2
 
 
 class TestInstrumentation:

@@ -89,6 +89,31 @@ class TestRequantize:
         acc = np.array([123, -456], dtype=np.int64)
         np.testing.assert_array_equal(requantize(acc, 0, 0), [0, 0])
 
+    @pytest.mark.parametrize("m", [2.0 ** 20 + 0.5, 1.0e8, 2.0 ** 29.5])
+    def test_large_multiplier_is_exact_beyond_the_input_contract(self, m):
+        """An all-zero calibration gives a 1e-8-wide output grid and a
+        multiplier near 2**27; ``|acc << shift|`` then leaves the
+        gemmlowp contract, and the result must still be the exact
+        rounded product (saturating the clamp), not an int64 wrap."""
+        q, shift = quantize_multiplier(m)
+        assert 0 < shift <= 30
+        acc = np.array([-2 ** 30, -1785, -1, 0, 1, 1785, 2 ** 30 - 1],
+                       dtype=np.int64)
+        expected = [(int(a) * q * 2 ** shift + 2 ** 30) >> 31 for a in acc]
+        np.testing.assert_array_equal(requantize(acc, q, shift), expected)
+
+    def test_pre_shift_beyond_cap_keeps_sign_and_scale(self):
+        """Past MAX_PRESHIFT the multiplier is applied as 2**30-ish: any
+        nonzero accumulator still lands at least 2**29 codes off zero,
+        on its own side."""
+        from repro.infer.requant import MAX_PRESHIFT
+        q, shift = quantize_multiplier(2.0 ** 40)
+        assert shift > MAX_PRESHIFT
+        acc = np.array([-2 ** 30, -1, 0, 1, 2 ** 30], dtype=np.int64)
+        out = requantize(acc, q, shift)
+        np.testing.assert_array_equal(np.sign(out), np.sign(acc))
+        assert np.all(np.abs(out) >= np.abs(acc) * 2 ** 29)
+
 
 class TestVectorScalarParity:
     """quantize_multipliers must be element-wise identical to the scalar
@@ -153,6 +178,19 @@ class TestRequantizeInto:
         got = int(requantize_into(accs, plan, work)[0, 0])
         ref = int(requantize(accs.astype(np.int64), qs, shifts)[0, 0])
         assert got == ref
+
+    def test_matches_reference_beyond_the_input_contract(self):
+        """Huge multipliers (degenerate output grids) and capped
+        pre-shifts, mixed with ordinary channels in one plan."""
+        from repro.infer.requant import requantize_into
+        ms = np.array([1.0e8, 0.3, 2.0 ** 40, 1.0, 3.5])
+        plan, qs, shifts = self._plan(ms)
+        acc = np.random.default_rng(9).integers(
+            -(2 ** 31), 2 ** 31, size=(50, ms.size)).astype(np.int32)
+        work = np.empty(acc.shape, dtype=np.int64)
+        np.testing.assert_array_equal(
+            requantize_into(acc, plan, work),
+            requantize(acc.astype(np.int64), qs, shifts))
 
     def test_in_place_on_int64_residual_workspace(self):
         """The residual path requantizes its own int64 workspace in

@@ -11,6 +11,8 @@ from repro.quant import (apply_policy, calibrate, export_model,
                          verify_roundtrip)
 from repro.space import SearchSpace, build_model
 
+from .test_quantizers import tie_model
+
 
 @pytest.fixture
 def quantized_model(c10_space, rng, tiny_dataset):
@@ -101,6 +103,17 @@ class TestExport:
         errors = verify_roundtrip(quantized_model, data)
         assert errors  # every quantized layer checked
         assert max(errors.values()) < 1e-5
+
+    def test_codes_are_the_fake_quantizers_levels(self):
+        """The container holds the levels ``forward`` rounds to, even
+        where its float32 quotient sits exactly on a half and a float64
+        re-derivation would round the other way."""
+        model = tie_model()
+        layer = model.layers[0]
+        payload = import_model(export_model(model))[0]
+        np.testing.assert_array_equal(
+            payload.dequantized_weights(),
+            layer.weight_quantizer.forward(layer.weight.data))
 
     def test_container_parses(self, quantized_model):
         data = export_model(quantized_model)

@@ -3,10 +3,36 @@
 import numpy as np
 import pytest
 
-from repro.quant import (ActivationQuantizer, WeightQuantizer,
-                         quantization_error, quantize_symmetric,
-                         symmetric_scale)
+from repro.nn.conv import DepthwiseConv2D
+from repro.nn.layers import Dense, GlobalAvgPool2D
+from repro.nn.network import Sequential
+from repro.quant import (ActivationQuantizer, QuantizationPolicy,
+                         WeightQuantizer, apply_policy, quantization_error,
+                         quantize_symmetric, symmetric_scale)
 from repro.quant.observers import MinMaxObserver
+
+#: one 7-bit depthwise channel (axis 2) drawn by the search-space parity
+#: property: its third weight over the float32 channel scale is exactly
+#: -60.5 in float32, which ``forward`` rounds half to even (-60), but
+#: -60.50000173 in float64, which rounds to -61
+TIE_WEIGHTS = np.array([-0.033485427498817444, 0.4132061302661896,
+                        -1.270015001296997, 1.3224948644638062],
+                       dtype=np.float32).reshape(2, 2, 1)
+TIE_BITS = 7
+TIE_LEVELS = [-2, 20, -60, 63]
+
+
+def tie_model():
+    """A 2x2 depthwise conv holding ``TIE_WEIGHTS`` at ``TIE_BITS``, then
+    GAP and a Dense classifier; weight quantizers attached."""
+    layer = DepthwiseConv2D(1, 2, name="dw")
+    layer.quant_slot = "dw"
+    layer.weight.data = TIE_WEIGHTS.copy()
+    fc = Dense(1, 2, name="fc")
+    fc.quant_slot = "fc"
+    model = Sequential([layer, GlobalAvgPool2D(), fc])
+    apply_policy(model, QuantizationPolicy({"dw": TIE_BITS, "fc": 8}))
+    return model
 
 
 class TestSymmetricQuantization:
@@ -87,6 +113,17 @@ class TestWeightQuantizer:
             WeightQuantizer(1)
         with pytest.raises(ValueError):
             WeightQuantizer(33)
+
+    def test_levels_are_forwards_own_at_a_float32_tie(self):
+        """``levels`` rounds exactly as ``forward`` does, so deployment
+        codes times the widened scales give ``forward``'s weights."""
+        q = WeightQuantizer(TIE_BITS, channel_axis=2)
+        levels = q.levels(TIE_WEIGHTS)
+        assert levels.dtype == np.int64
+        assert levels.ravel().tolist() == TIE_LEVELS
+        scale = np.asarray(q.scale_for(TIE_WEIGHTS), dtype=np.float64)
+        np.testing.assert_array_equal(
+            (levels * scale).astype(np.float32), q.forward(TIE_WEIGHTS))
 
 
 class TestActivationQuantizer:
