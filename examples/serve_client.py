@@ -11,8 +11,13 @@ against ``python -m repro serve``:
 - ``POST /v1/models/<name>/predict``        single image and batch,
   (concurrent single-image requests are coalesced by the dynamic
   batcher into one arena pass — same bits as serial inference),
-- ``GET  /v1/stats``                        live latency/shed counters,
+- ``GET  /v1/stats``                        live per-model counts
+  (batches, images, shed, timeouts, errors),
 - graceful drain on shutdown.
+
+The daemon streams its event log to ``<run_dir>/events.jsonl`` (one
+latency event per answered request); ``python -m repro report
+<run_dir>`` turns it into the SLO table with exact percentiles.
 
 To point this at a real daemon instead, start one in another terminal:
 

@@ -1,16 +1,15 @@
 #!/usr/bin/env python
 """Validate run-directory artifacts against their schemas.
 
-Checks JSONL event logs (``events.jsonl``), search checkpoints
-(``checkpoint.json``), and serving stats snapshots
-(``serve_stats.json``) with the validators dispatched by
-:mod:`repro.obs.schema`.
+Checks JSONL event logs (``events.jsonl``, written by traced searches
+and by ``repro serve``) and search checkpoints (``checkpoint.json``)
+with the validators dispatched by :mod:`repro.obs.schema`.
 
 Usage::
 
     python scripts/check_schema.py               # everything under runs/
-    python scripts/check_schema.py runs/my-run   # a traced run directory
-    python scripts/check_schema.py events.jsonl runs/serve/serve_stats.json
+    python scripts/check_schema.py runs/my-run   # a run directory
+    python scripts/check_schema.py events.jsonl runs/my-run/checkpoint.json
 
 Exits 0 when every file validates, 1 otherwise.  Wired into the test
 suite via ``tests/obs/test_schema.py``.
@@ -36,15 +35,14 @@ def default_targets() -> list:
     if runs_dir.is_dir():
         targets.extend(sorted(runs_dir.glob(f"*/{EVENTS_FILENAME}")))
         targets.extend(sorted(runs_dir.glob("*/checkpoint.json")))
-        targets.extend(sorted(runs_dir.glob("*/serve_stats.json")))
     return targets
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*",
-                        help="run dirs, events.jsonl, checkpoint.json or "
-                             "serve_stats.json files (default: runs/*)")
+                        help="run dirs, events.jsonl or checkpoint.json "
+                             "files (default: runs/*)")
     args = parser.parse_args(argv)
     targets = [Path(p) for p in args.paths] or default_targets()
     if not targets:

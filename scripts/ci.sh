@@ -9,15 +9,19 @@
 #      parity properties (tests/nn/test_functional.py), the layers'
 #      no-writes-into-inputs property (tests/nn/test_immutability.py), and
 #      the integer engine's drawn-stage and drawn-genome properties
-#      (tests/infer/test_stage_property.py, test_space_parity.py) again
-#      under three more fixed hypothesis seeds: their equality rests on
-#      numpy's loop and allocation order and on einsum's strided views,
-#      so each CI run checks four times the shapes tier-1 does
+#      (tests/infer/test_stage_property.py, test_space_parity.py) and the
+#      serve handler fuzz test (tests/serve/test_fuzz.py) again under
+#      three more fixed hypothesis seeds: the equalities rest on numpy's
+#      loop and allocation order and on einsum's strided views, and the
+#      fuzz test's bodies are drawn, so each CI run checks four times the
+#      shapes and bodies tier-1 does
 #   2. schema validation of a freshly traced+profiled run's events.jsonl
 #      (exercises the full span/metric/profile event surface), then that
-#      run's hotspot table, so every CI log shows where training time goes
+#      run's `repro report` with its hotspot table, so every CI log shows
+#      where training time goes
 #   3. serving smoke test (HTTP round trip against a live daemon,
-#      concurrent clients, bit-identity vs serial inference, clean drain)
+#      concurrent clients, bit-identity vs serial inference, clean drain,
+#      the daemon's events.jsonl validated and rendered by `repro report`)
 #   4. `repro infer --parity` on a freshly built bench artifact: every
 #      teacher-forced segment of the arena executor within its LSB
 #      budget of the fake-quant reference, through the CLI
@@ -36,11 +40,12 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 for seed in 1 2 3; do
-    echo "== exactness oracles, hypothesis seed $seed =="
+    echo "== exactness oracles and handler fuzz, hypothesis seed $seed =="
     python -m pytest -x -q --hypothesis-seed "$seed" \
         tests/nn/test_layer_oracle.py tests/nn/test_channel_sum.py \
         tests/nn/test_functional.py tests/nn/test_immutability.py \
-        tests/infer/test_stage_property.py tests/infer/test_space_parity.py
+        tests/infer/test_stage_property.py tests/infer/test_space_parity.py \
+        tests/serve/test_fuzz.py
 done
 
 echo "== schema: freshly traced+profiled run =="
@@ -50,8 +55,8 @@ python -m repro search --scale unit --no-final-training --profile \
     --trace-dir "$TMP_RUN/run" --quiet >/dev/null
 python scripts/check_schema.py "$TMP_RUN/run"
 
-echo "== profile: hotspot table of that run =="
-python -m repro profile "$TMP_RUN/run" --top 12
+echo "== report: that run's dashboard and hotspot table =="
+python -m repro report "$TMP_RUN/run"
 
 echo "== serve smoke =="
 python scripts/serve_smoke.py

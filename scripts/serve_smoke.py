@@ -4,9 +4,10 @@
 Builds a small deterministic artifact, starts ``ServeDaemon`` on an
 ephemeral port, loads the model over HTTP, sends a concurrent burst of
 predict requests from real socket clients, checks the answers against
-the serial ``repro infer`` reference (bit-identical logits), drains, and
-validates the ``serve_stats.json`` left behind.  Everything a deploy
-would do, in a few seconds::
+the serial ``repro infer`` reference (bit-identical logits), drains,
+validates the ``events.jsonl`` left behind (one latency event per
+request, no ``infer.*`` stage spans), and renders it with ``repro
+report``.  Everything a deploy would do, in a few seconds::
 
     PYTHONPATH=src python scripts/serve_smoke.py
 
@@ -27,8 +28,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.cli import main as repro_main  # noqa: E402
 from repro.infer.artifact import load_artifact  # noqa: E402
 from repro.obs.schema import validate_path  # noqa: E402
+from repro.obs.trace import read_events  # noqa: E402
 from repro.serve import ServeConfig, ServeDaemon  # noqa: E402
 from repro.serve.bench import make_bench_artifact  # noqa: E402
 
@@ -97,17 +100,30 @@ def main() -> int:
             return 1
 
         stats = daemon.shutdown(drain=True)
-        admitted = stats["metrics"]["serve.requests"]["value"]
-        if admitted < N_CLIENTS * IMAGES_PER_CLIENT:
-            print(f"FAIL only {admitted} requests admitted")
+        answered = stats["models"][0]["images_run"]
+        if answered != images.shape[0]:
+            print(f"FAIL {answered} of {images.shape[0]} requests answered")
             return 1
-        errors = validate_path(run_dir / "serve_stats.json")
+        errors = validate_path(run_dir)
         if errors:
-            print("FAIL serve_stats.json:", *errors, sep="\n  ")
+            print("FAIL events.jsonl:", *errors, sep="\n  ")
+            return 1
+        events = read_events(run_dir)
+        latencies = [e for e in events
+                     if e.get("name") == "serve.smoke.latency_s"]
+        stage_spans = [e for e in events if e["type"] == "span"
+                       and e["name"].startswith("infer.")]
+        if len(latencies) != images.shape[0] or stage_spans:
+            print(f"FAIL events.jsonl holds {len(latencies)} latency "
+                  f"events for {images.shape[0]} requests and "
+                  f"{len(stage_spans)} infer.* spans")
+            return 1
+        if repro_main(["report", str(run_dir)]) != 0:
+            print("FAIL repro report exited non-zero")
             return 1
         print(f"serve smoke ok: {N_CLIENTS} concurrent clients, "
-              f"{int(admitted)} requests, bit-identical to serial "
-              f"inference, clean drain")
+              f"{answered} requests, bit-identical to serial "
+              f"inference, clean drain, event log valid")
     return 0
 
 

@@ -5,8 +5,10 @@ Commands:
 - ``search``  — run a BOMP-NAS search (any mode) and write the result JSON;
   ``--trace`` additionally streams a structured event log to a run
   directory (see :mod:`repro.obs`).
-- ``report``  — regenerate a paper figure or table, or — given a traced
-  run directory — render its search-health dashboard.
+- ``report``  — regenerate a paper figure or table, or — given a run
+  directory of any kind (search, profiled search, serve) — render the
+  dashboard of its ``events.jsonl``: search health, profiler hotspots,
+  or the serve SLO table (exit 1 on a p99 breach).
 - ``inspect`` — summarize a saved search result JSON.
 - ``space``   — print the Table I search space and its cardinalities.
 - ``export``  — re-materialize a searched candidate from a saved run
@@ -14,13 +16,9 @@ Commands:
   artifact (see :mod:`repro.infer`).
 - ``infer``   — run the integer-only engine on an exported artifact:
   deployed accuracy, deployment cost report, optional parity check.
-- ``profile`` — hotspot table + flame SVG for a profiled run directory
-  (a search run with ``--profile`` / ``BOMP_PROFILE=1``).
 - ``serve``   — multi-model serving daemon over exported artifacts:
-  dynamic batching, admission control, graceful SIGTERM drain (see
-  :mod:`repro.serve`).
-- ``serve-report`` — latency/SLO report over the ``serve_stats.json``
-  a drained daemon leaves in its run directory.
+  dynamic batching, admission control, graceful SIGTERM drain, an
+  ``events.jsonl`` in its run directory (see :mod:`repro.serve`).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .nas.config import (SCALE_PRESETS, SEARCH_MODES, SearchConfig,
 from .nas.results import SearchResult
 from .nas.search import BOMPNAS
 from .obs.console import ConsoleReporter
-from .obs.trace import EVENTS_FILENAME, RunTracer
+from .obs.trace import EVENTS_FILENAME, RunTracer, events_path
 from .space.space import SearchSpace
 
 #: the paper artifacts ``report`` can regenerate (everything else is
@@ -95,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--trial-timeout", type=float, default=None,
                         help="per-trial wall-clock timeout in seconds for "
                              "pooled evaluation (<= 0 disables; default "
-                             "BOMP_TRIAL_TIMEOUT env or 3600)")
+                             "3600)")
     search.add_argument("--out", default=None,
                         help="write the result JSON here")
     search.add_argument("--trace", action="store_true",
@@ -116,11 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     report = commands.add_parser(
         "report",
         help="regenerate a paper figure/table, or render the "
-             "search-health dashboard of a traced run directory")
+             "dashboard of a run directory (search or serve)")
     report.add_argument("artifact",
-                        help="one of %s, or a path to a traced run "
-                             "directory / events.jsonl" %
-                             ", ".join(PAPER_ARTIFACTS))
+                        help="one of %s, or a path to a run directory / "
+                             "events.jsonl" % ", ".join(PAPER_ARTIFACTS))
     report.add_argument("--scale", choices=sorted(SCALE_PRESETS),
                         default=None)
     report.add_argument("--seed", type=int, default=7)
@@ -130,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "cached results are reused either way)")
     report.add_argument("--svg-out", default=None,
                         help="also write an SVG rendering here (figures "
-                             "and run-dir dashboards)")
+                             "and run-dir dashboards; a profiled run "
+                             "adds <name>-flame.svg)")
 
     inspect = commands.add_parser(
         "inspect", help="summarize a saved search result")
@@ -169,18 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run the parity harness against the "
                             "rebuilt fake-quant reference")
 
-    profile = commands.add_parser(
-        "profile",
-        help="hotspot table + flame SVG for a profiled run directory")
-    profile.add_argument("run_dir",
-                         help="traced+profiled run directory (or an "
-                              "events.jsonl path)")
-    profile.add_argument("--top", type=int, default=12,
-                         help="kernels shown in the hotspot table")
-    profile.add_argument("--svg-out", default=None,
-                         help="flame SVG path (default <run_dir>/"
-                              "flame.svg; 'none' to skip)")
-
     serve = commands.add_parser(
         "serve",
         help="serve exported .bomp artifacts over HTTP with dynamic "
@@ -207,16 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--timeout-ms", type=float, default=30_000.0,
                        help="default server-side request deadline")
     serve.add_argument("--slo-p99-ms", type=float, default=None,
-                       help="p99 latency target judged by serve-report")
+                       help="p99 latency target judged by repro report")
     serve.add_argument("--run-dir", default=None,
-                       help="write serve_stats.json here on shutdown "
+                       help="stream the event log (events.jsonl) here "
                             "(default runs/serve)")
-
-    serve_report = commands.add_parser(
-        "serve-report",
-        help="latency/SLO report for a drained serving run")
-    serve_report.add_argument(
-        "source", help="serving run directory or serve_stats.json path")
     return parser
 
 
@@ -272,10 +252,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else default_workers()
     retry_policy = None
     if args.trial_timeout is not None:
-        import dataclasses
         timeout = args.trial_timeout if args.trial_timeout > 0 else None
-        retry_policy = dataclasses.replace(RetryPolicy.from_env(),
-                                           trial_timeout_s=timeout)
+        retry_policy = RetryPolicy(trial_timeout_s=timeout)
     nas = BOMPNAS(config, dataset, progress=progress)
     tracer = None
     if args.trace or args.trace_dir or args.profile:
@@ -311,9 +289,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     if tracer is not None:
         reporter.emit(f"event log written to {tracer.path} "
                       f"(render with: repro report {tracer.run_dir})")
-        if args.profile:
-            reporter.emit(f"profile recorded (render with: repro profile "
-                          f"{tracer.run_dir})")
     return 0
 
 
@@ -322,22 +297,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.artifact not in PAPER_ARTIFACTS:
         path = Path(args.artifact)
         if path.is_dir() or path.suffix == ".jsonl":
-            if not (path if path.suffix == ".jsonl"
-                    else path / EVENTS_FILENAME).exists():
-                from .serve.daemon import STATS_FILENAME
-                if path.is_dir() and (path / STATS_FILENAME).exists():
-                    # a serving run dir, not a traced search run
-                    return cmd_serve_report(
-                        argparse.Namespace(source=str(path)))
+            if not events_path(path).exists():
                 reporter.emit(f"no {EVENTS_FILENAME} under {path}; was the "
-                              "search run with --trace?")
+                              "search run with --trace, or the daemon "
+                              "with --run-dir?")
                 return 1
             from .obs.report import write_report
-            _, text = write_report(path, svg_out=args.svg_out)
+            report, text = write_report(path, svg_out=args.svg_out)
             reporter.emit(text)
             if args.svg_out:
                 reporter.emit(f"SVG written to {args.svg_out}")
-            return 0
+            return 0 if report.ok() else 1
         raise SystemExit(
             f"unknown artifact {args.artifact!r}: expected one of "
             f"{', '.join(PAPER_ARTIFACTS)} or a traced run directory")
@@ -433,27 +403,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    reporter = ConsoleReporter()
-    from .obs.profreport import flame_svg, load_profile, render_hotspots
-    path = Path(args.run_dir)
-    view = load_profile(path)
-    reporter.emit(f"profile - {view.source}")
-    reporter.emit(render_hotspots(view, top_n=args.top))
-    if not view.has_profile:
-        return 1
-    if args.svg_out != "none":
-        run_dir = path if path.is_dir() else path.parent
-        svg_path = Path(args.svg_out) if args.svg_out else \
-            run_dir / "flame.svg"
-        flame = flame_svg(view.events)
-        if flame is not None:
-            svg_path.parent.mkdir(parents=True, exist_ok=True)
-            svg_path.write_text(flame)
-            reporter.emit(f"flame SVG written to {svg_path}")
-    return 0
-
-
 def _parse_model_args(pairs: List[str]) -> List[tuple]:
     models = []
     for pair in pairs:
@@ -468,8 +417,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     reporter = ConsoleReporter()
+    from .obs.report import load_report, render_text
     from .serve import ServeConfig, ServeDaemon
-    from .serve.report import build_report, render_serve_report
     models = _parse_model_args(args.model)
     config = ServeConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
@@ -489,8 +438,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"(max_batch={config.max_batch}, "
                   f"max_wait={config.max_wait_ms}ms, "
                   f"queue_depth={config.queue_depth})")
-    reporter.emit("SIGTERM/Ctrl-C drains and writes "
-                  f"{config.run_dir}/serve_stats.json")
+    reporter.emit(f"event log: {config.run_dir}/{EVENTS_FILENAME} "
+                  "(SIGTERM/Ctrl-C drains)")
 
     def _drain(signum, frame):
         daemon.request_shutdown()
@@ -500,20 +449,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     daemon.wait()
     reporter.emit("draining...")
     daemon.shutdown(drain=True)
-    reporter.emit(render_serve_report(build_report(config.run_dir)))
+    reporter.emit(render_text(load_report(config.run_dir)))
     return 0
-
-
-def cmd_serve_report(args: argparse.Namespace) -> int:
-    reporter = ConsoleReporter()
-    from .serve.report import (ServeStatsError, build_report,
-                               render_serve_report)
-    try:
-        report = build_report(args.source)
-    except ServeStatsError as exc:
-        raise SystemExit(str(exc))
-    reporter.emit(render_serve_report(report))
-    return 0 if report.ok() else 1
 
 
 COMMANDS = {
@@ -523,9 +460,7 @@ COMMANDS = {
     "space": cmd_space,
     "export": cmd_export,
     "infer": cmd_infer,
-    "profile": cmd_profile,
     "serve": cmd_serve,
-    "serve-report": cmd_serve_report,
 }
 
 

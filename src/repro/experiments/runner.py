@@ -21,6 +21,7 @@ from ..baselines.micronas import MicroNASSearch
 from ..bo.scalarization import ScalarizationConfig
 from ..data.datasets import Dataset
 from ..data.synthetic import synthetic_cifar10, synthetic_cifar100
+from ..env import EnvVarError
 from ..nas.config import ScalePreset, SearchConfig, get_mode, get_scale
 from ..nas.results import SearchResult
 from ..nas.search import BOMPNAS
@@ -42,6 +43,20 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("BOMP_CACHE_DIR", ".bomp_cache"))
 
 
+def _env_workers() -> int:
+    """``BOMP_WORKERS`` (default 1); anything but a positive integer is
+    refused."""
+    value = os.environ.get("BOMP_WORKERS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise EnvVarError(f"BOMP_WORKERS={value!r}: expected a positive "
+                          f"integer")
+    return workers
+
+
 class ExperimentContext:
     """Datasets + memoized search runs for the benchmark harness."""
 
@@ -60,7 +75,7 @@ class ExperimentContext:
         # execution detail.  Tracing is an execution detail for the same
         # reason: event logs are a side product, never a cache input.
         if workers is None:
-            workers = int(os.environ.get("BOMP_WORKERS", "1"))
+            workers = _env_workers()
         self.workers = max(1, workers)
         if trace_dir is None:
             env_dir = os.environ.get("BOMP_TRACE_DIR")

@@ -360,7 +360,7 @@ class BOMPNAS:
                 ``batch_size``, if given, must equal the checkpointed one.
             retry_policy: worker fault-handling policy, forwarded to the
                 :class:`~repro.parallel.engine.TrialEngine` (default:
-                environment-derived).
+                ``RetryPolicy()``).
             reporter: console reporter for engine recovery diagnostics.
         """
         from .final_training import train_final_models  # cycle guard

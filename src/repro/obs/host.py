@@ -3,7 +3,7 @@
 A timing only means something on the machine and numeric stack it was
 taken on, so the repository benchmark (``python3 perfbench/run.py``)
 prints this block with every result and the serving daemon records it
-in ``serve_stats.json``.
+in the ``meta`` event that opens its ``events.jsonl``.
 """
 
 from __future__ import annotations

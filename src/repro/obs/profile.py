@@ -43,8 +43,18 @@ import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..env import EnvVarError
+
 #: environment variable enabling profiling ("1"/"time" or "alloc")
 PROFILE_ENV = "BOMP_PROFILE"
+
+#: every accepted ``BOMP_PROFILE`` spelling (case-insensitive) and the
+#: mode it selects; any other value is refused
+PROFILE_SPELLINGS: Dict[str, Optional[str]] = {
+    **dict.fromkeys(("", "0", "off", "false", "no")),
+    **dict.fromkeys(("1", "time", "on", "yes", "true"), "time"),
+    **dict.fromkeys(("2", "alloc", "allocs", "mem", "memory"), "alloc"),
+}
 
 #: supported profiling modes
 MODES = ("time", "alloc")
@@ -56,14 +66,20 @@ NDARRAY_CONSTRUCTORS = ("empty", "zeros", "ones", "full",
 
 
 def mode_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str]:
-    """Profiling mode requested by ``BOMP_PROFILE`` (``None`` = off)."""
+    """Profiling mode requested by ``BOMP_PROFILE`` (``None`` = off).
+
+    Raises :class:`~repro.env.EnvVarError` for a spelling outside
+    :data:`PROFILE_SPELLINGS`.
+    """
     source = environ if environ is not None else os.environ
-    value = source.get(PROFILE_ENV, "").strip().lower()
-    if value in ("", "0", "off", "false", "no"):
-        return None
-    if value in ("alloc", "allocs", "mem", "memory", "2"):
-        return "alloc"
-    return "time"
+    value = source.get(PROFILE_ENV, "")
+    try:
+        return PROFILE_SPELLINGS[value.strip().lower()]
+    except KeyError:
+        raise EnvVarError(
+            f"{PROFILE_ENV}={value!r}: expected one of "
+            f"{', '.join(s for s in PROFILE_SPELLINGS if s)} "
+            f"(or empty)") from None
 
 
 class _KernelStat:

@@ -15,33 +15,31 @@ attributed view:
 
 Everything here is pure functions over the event list — no profiler or
 tracer state is touched, so reporting works on any run directory.
+``repro report`` prints the hotspot table and writes the flame SVG next
+to its other figures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
-
-from .trace import read_events_tolerant
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "ProfileView",
     "aggregate",
-    "load_profile",
     "hotspot_lines",
     "render_hotspots",
     "flame_svg",
 ]
 
+#: kernels shown in the hotspot table
+TOP_KERNELS = 12
+
 
 @dataclass
 class ProfileView:
-    """Merged profile statistics for one run directory."""
+    """Merged profile statistics for one run's events."""
 
-    source: str
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
     mode: Optional[str] = None
     # phase name -> {calls, excl_s, allocs, peak_bytes, net_bytes}
     phases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -73,8 +71,7 @@ def _zero_kernel() -> Dict[str, Any]:
     return {"calls": 0, "excl_s": 0.0, "incl_s": 0.0, "allocs": 0}
 
 
-def aggregate(events: List[Dict[str, Any]],
-              source: str = "<events>") -> ProfileView:
+def aggregate(events: List[Dict[str, Any]]) -> ProfileView:
     """Merge profile + span events into a :class:`ProfileView`.
 
     Worker streams were flushed independently (one profile event per
@@ -82,7 +79,7 @@ def aggregate(events: List[Dict[str, Any]],
     takes the max, since each worker process has its own heap and the
     worst observed peak is the number that matters for sizing.
     """
-    view = ProfileView(source=source, events=events)
+    view = ProfileView()
     for event in events:
         type_ = event.get("type")
         if type_ == "span":
@@ -130,14 +127,6 @@ def aggregate(events: List[Dict[str, Any]],
     return view
 
 
-def load_profile(run_dir: Union[str, Path]) -> ProfileView:
-    """Load and merge a run directory's profile, tolerating torn logs."""
-    events, warnings = read_events_tolerant(run_dir)
-    view = aggregate(events, source=str(run_dir))
-    view.warnings = warnings
-    return view
-
-
 def _fmt_bytes(n: int) -> str:
     value = float(n)
     for unit in ("B", "KiB", "MiB", "GiB"):
@@ -147,18 +136,14 @@ def _fmt_bytes(n: int) -> str:
     return f"{int(n)}B"
 
 
-def hotspot_lines(events: List[Dict[str, Any]], top_n: int = 12,
-                  source: str = "<events>") -> List[str]:
+def hotspot_lines(events: List[Dict[str, Any]]) -> List[str]:
     """The hotspot table for an event list (indent-free lines)."""
-    return render_hotspots(aggregate(events, source=source),
-                           top_n=top_n).splitlines()
+    return render_hotspots(aggregate(events)).splitlines()
 
 
-def render_hotspots(view: ProfileView, top_n: int = 12) -> str:
+def render_hotspots(view: ProfileView, top_n: int = TOP_KERNELS) -> str:
     """Top-N hotspot table: phase breakdown + kernels by exclusive time."""
     lines: List[str] = []
-    for warning in view.warnings:
-        lines.append(f"WARNING: {warning}")
     if not view.has_profile:
         lines.append("no profile events in this run "
                      "(rerun with --profile or BOMP_PROFILE=1)")

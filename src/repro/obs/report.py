@@ -1,12 +1,15 @@
-"""Search-health reporting: dashboards from run-dir event logs.
+"""Run reporting: one dashboard from any run directory's event log.
 
 ``repro report <run_dir>`` lands here: the JSONL event stream written by a
 traced run (:class:`~repro.obs.trace.RunTracer`) is folded into a
-:class:`RunReport` — incumbent trajectory, phase-time breakdown, training
-dynamics, GP surrogate health (kernel hyperparameters, acquisition values,
-predicted-vs-observed calibration), QAFT recovery, and process-pool
-telemetry — rendered as a text dashboard and optionally as SVG figures via
-the same :mod:`repro.experiments.svg` machinery the paper figures use.
+:class:`RunReport`.  A search run shows its incumbent trajectory,
+phase-time breakdown, training dynamics, GP surrogate health (kernel
+hyperparameters, acquisition values, predicted-vs-observed calibration),
+QAFT recovery, and process-pool telemetry; a serving run (``repro serve
+--run-dir``) shows its SLO table.  Every figure is computed from the raw
+events, so percentiles are exact.  The text dashboard is optionally
+joined by SVG figures drawn with the same :mod:`repro.experiments.svg`
+machinery the paper figures use.
 """
 
 from __future__ import annotations
@@ -16,13 +19,32 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .metrics import MetricsRegistry
+import numpy as np
+
 from .trace import read_events_tolerant
 
 #: phases shown in the breakdown, in pipeline order
 PHASE_ORDER = ("train", "ptq", "qaft", "eval", "final_training")
 
 _BAR_WIDTH = 28
+
+
+@dataclass
+class ServedModel:
+    """One served model's outcomes, from its raw events."""
+
+    name: str
+    latencies_s: List[float] = field(default_factory=list)
+    batch_images: List[int] = field(default_factory=list)
+    shed: int = 0
+    timeouts: int = 0
+    errors: int = 0
+
+    def latency_ms(self, q: float) -> Optional[float]:
+        """Exact latency q-th percentile in ms (``None`` without traffic)."""
+        if not self.latencies_s:
+            return None
+        return float(np.percentile(self.latencies_s, q)) * 1e3
 
 
 @dataclass
@@ -45,7 +67,29 @@ class RunReport:
     pool_batches: List[Dict[str, Any]] = field(default_factory=list)
     profile_events: List[Dict[str, Any]] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: every gauge and histogram value, by metric name
+    values: Dict[str, List[float]] = field(default_factory=dict)
+    served: Dict[str, ServedModel] = field(default_factory=dict)
+    drain_span: Optional[Dict[str, Any]] = None
+
+    @property
+    def serving(self) -> bool:
+        """Whether this is a serving run's log (``repro serve``)."""
+        return "serve" in self.meta or bool(self.served)
+
+    def slo_ok(self, model: ServedModel) -> Optional[bool]:
+        """p99 against the run's ``slo_p99_ms``; ``None`` when there is
+        no target or no traffic — nothing to judge."""
+        target = (self.meta.get("serve") or {}).get("slo_p99_ms")
+        p99 = model.latency_ms(99)
+        if target is None or p99 is None:
+            return None
+        return p99 <= target
+
+    def ok(self) -> bool:
+        """True unless some served model breached its p99 target."""
+        return all(self.slo_ok(model) is not False
+                   for model in self.served.values())
 
     # -- derived views -----------------------------------------------------
     def incumbent_trajectory(self) -> List[Tuple[int, float]]:
@@ -97,11 +141,14 @@ def load_report(run_dir: Union[str, Path]) -> RunReport:
     """
     events, warnings = read_events_tolerant(run_dir)
     report = RunReport(source=str(run_dir), events=events,
-                       warnings=warnings,
-                       metrics=MetricsRegistry.from_events(events))
+                       warnings=warnings)
     for event in events:
         type_ = event.get("type")
         name = event.get("name", "")
+        if name.startswith("serve."):
+            _fold_serve_event(report, type_, name, event)
+        if type_ in ("gauge", "hist"):
+            report.values.setdefault(name, []).append(float(event["value"]))
         if type_ == "meta":
             payload = {k: v for k, v in event.items()
                        if k not in ("type", "schema")}
@@ -134,7 +181,34 @@ def load_report(run_dir: Union[str, Path]) -> RunReport:
                 report.qaft_recovery.append(event)
             elif name == "pool.batch_wall_s":
                 report.pool_batches.append(event)
+    if report.serving and report.drain_span is None:
+        report.warnings.append(
+            "no serve.drain span: the daemon never shut down cleanly "
+            "(killed?); figures cover the log up to its last line")
     return report
+
+
+def _fold_serve_event(report: RunReport, type_: Optional[str], name: str,
+                      event: Dict[str, Any]) -> None:
+    """Count one ``serve.*`` event into its model's outcomes."""
+    tags = event.get("tags") or {}
+    if type_ == "span":
+        if name == "serve.drain":
+            report.drain_span = event
+        elif name == "serve.batch" and "model" in tags:
+            model = report.served.setdefault(
+                tags["model"], ServedModel(tags["model"]))
+            model.batch_images.append(int(tags.get("images", 0)))
+        return
+    parts = name.split(".")        # serve.<model>.<outcome>
+    if len(parts) != 3:
+        return
+    model = report.served.setdefault(parts[1], ServedModel(parts[1]))
+    if type_ == "hist" and parts[2] == "latency_s":
+        model.latencies_s.append(float(event["value"]))
+    elif type_ == "counter" and parts[2] in ("shed", "timeouts", "errors"):
+        setattr(model, parts[2],
+                getattr(model, parts[2]) + int(event.get("value", 1)))
 
 
 # -- text rendering --------------------------------------------------------
@@ -230,19 +304,62 @@ def _pool_lines(report: RunReport) -> List[str]:
     if not report.pool_batches:
         return ["  (serial run - no pool telemetry)"]
     lines = [f"  batches: {len(report.pool_batches)}"]
-    util = report.metrics.get("pool.utilisation")
-    if util is not None and util.count:
-        lines.append(f"  worker utilisation mean={util.mean:.1%} "
-                     f"min={util.vmin:.1%}")
-    skew = report.metrics.get("pool.skew")
-    if skew is not None and skew.count:
-        lines.append(f"  task skew (max/mean) mean={skew.mean:.2f} "
-                     f"max={skew.vmax:.2f}")
-    task = report.metrics.get("pool.task_s")
-    if task is not None and task.count:
-        lines.append(f"  task time p50={task.percentile(0.5):.3g}s "
-                     f"p90={task.percentile(0.9):.3g}s "
-                     f"max={task.vmax:.3g}s")
+    util = report.values.get("pool.utilisation")
+    if util:
+        lines.append(f"  worker utilisation mean={np.mean(util):.1%} "
+                     f"min={min(util):.1%}")
+    skew = report.values.get("pool.skew")
+    if skew:
+        lines.append(f"  task skew (max/mean) mean={np.mean(skew):.2f} "
+                     f"max={max(skew):.2f}")
+    task = report.values.get("pool.task_s")
+    if task:
+        lines.append(f"  task time p50={np.percentile(task, 50):.3g}s "
+                     f"p90={np.percentile(task, 90):.3g}s "
+                     f"max={max(task):.3g}s")
+    return lines
+
+
+def _ms(value: Optional[float], width: int = 8) -> str:
+    return "-".rjust(width) if value is None else f"{value:{width}.2f}"
+
+
+def _serve_lines(report: RunReport) -> List[str]:
+    config = report.meta.get("serve") or {}
+    lines = []
+    if config:
+        lines.append(
+            f"  config: max_batch={config.get('max_batch')} "
+            f"max_wait_ms={config.get('max_wait_ms')} "
+            f"queue_depth={config.get('queue_depth')} "
+            f"workers={config.get('workers_per_model')} "
+            f"slo_p99_ms={config.get('slo_p99_ms')}")
+    if not report.served:
+        lines.append("  (no models served)")
+    else:
+        lines.append(f"  {'model':<16} {'reqs':>7} {'batches':>7} "
+                     f"{'imgs/b':>7} {'p50 ms':>8} {'p95 ms':>8} "
+                     f"{'p99 ms':>8} {'shed':>5} {'t/o':>4} {'err':>4}  SLO")
+        for name in sorted(report.served):
+            model = report.served[name]
+            batches = model.batch_images
+            mean_batch = float(np.mean(batches)) if batches else 0.0
+            verdict = {True: "ok", False: "BREACH",
+                       None: "-"}[report.slo_ok(model)]
+            lines.append(
+                f"  {name:<16} {len(model.latencies_s):>7} "
+                f"{len(batches):>7} {mean_batch:>7.2f} "
+                f"{_ms(model.latency_ms(50))} {_ms(model.latency_ms(95))} "
+                f"{_ms(model.latency_ms(99))} {model.shed:>5} "
+                f"{model.timeouts:>4} {model.errors:>4}  {verdict}")
+    drain = report.drain_span
+    if drain is None:
+        lines.append("  no drain recorded (daemon killed before shutdown?)")
+    else:
+        tags = drain.get("tags") or {}
+        how = "cleanly" if tags.get("clean", True) else "HARD"
+        lines.append(f"  drained {how} in {drain['dur_s']:.3f}s "
+                     f"({tags.get('flushed', 0)} flushed)")
     return lines
 
 
@@ -252,6 +369,12 @@ def render_text(report: RunReport) -> str:
     lines = [header, "=" * len(header)]
     for warning in report.warnings:
         lines.append(f"WARNING: {warning}")
+    if report.serving:
+        lines.append(f"events: {len(report.events)}")
+        lines.append("")
+        lines.append("serving:")
+        lines.extend(_serve_lines(report))
+        return "\n".join(lines)
     run_meta = report.meta.get("run")
     if run_meta:
         lines.append(f"run: {run_meta}")

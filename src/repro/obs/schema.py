@@ -1,9 +1,9 @@
 """Validators for the files a run directory holds.
 
 The JSONL event log (``events.jsonl``) is an append-only contract read
-by ``repro report`` and ``repro profile``; :func:`validate_path` also
-dispatches search checkpoints (``checkpoint.json``) and serving stats
-(``serve_stats.json``) to their owners' validators.  Each function
+by ``repro report``, and every run kind writes it: search, infer and
+serve.  :func:`validate_path` also dispatches search checkpoints
+(``checkpoint.json``) to their owner's validator.  Each function
 returns a list of human-readable problems — empty means valid — so
 callers can aggregate across files.  ``scripts/check_schema.py`` is the
 CLI wrapper; the pytest suite runs the same checks as a tier-1 test.
@@ -141,21 +141,9 @@ def validate_events_file(path: Union[str, Path]) -> List[str]:
 
 
 def validate_path(path: Union[str, Path]) -> List[str]:
-    """Dispatch on path shape: checkpoint, serving stats, event log, or
-    run directory."""
+    """Dispatch on path shape: checkpoint, event log, or run directory."""
     path = Path(path)
     if path.is_file() and path.name == "checkpoint.json":
         from ..resilience.checkpoint import validate_checkpoint_file
         return validate_checkpoint_file(path)
-    if path.name == "serve_stats.json" or (
-            path.is_dir() and (path / "serve_stats.json").exists()
-            and not (path / "events.jsonl").exists()):
-        from ..serve.report import (ServeStatsError, load_serve_stats,
-                                    stats_path, validate_serve_stats)
-        try:
-            payload = load_serve_stats(path)
-        except ServeStatsError as exc:
-            return [str(exc)]
-        return [f"{stats_path(path)}: {p}"
-                for p in validate_serve_stats(payload)]
     return validate_events_file(path)

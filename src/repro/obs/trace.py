@@ -6,16 +6,17 @@ QAFT -> eval -> GP update); this module records it as a stream of *events*:
 - **spans** — timed sections forming a hierarchy
   ``run > trial > phase{train,ptq,qaft,eval} > epoch`` with wall-clock
   start, monotonic duration and free-form tags;
-- **metrics** — counters, gauges, and histogram observations (see
-  :mod:`repro.obs.metrics`), emitted alongside the spans.
+- **metrics** — raw counter, gauge and histogram observations, one
+  event each, emitted alongside the spans; readers such as ``repro
+  report`` aggregate them from the log (exact percentiles, no buckets).
 
 Instrumentation is pay-for-what-you-use: the process-wide *current
 recorder* defaults to a :class:`Recorder` no-op whose methods discard
 everything, so instrumented code costs two ``perf_counter`` reads per span
 and nothing per metric.  Installing a :class:`TraceRecorder` (via
 :func:`use_recorder`, a :class:`RunTracer`, or the CLI ``--trace`` flag)
-turns the same call sites into an in-memory event list, an aggregated
-metrics registry, and optionally a line-buffered JSONL sink.
+turns the same call sites into an in-memory event list or, given a sink,
+a line-buffered JSONL stream.
 
 Spans *always* time themselves — callers may read ``span.duration`` after
 the ``with`` block even under the no-op recorder — which is what lets
@@ -155,24 +156,21 @@ class Recorder:
 
 
 class TraceRecorder(Recorder):
-    """Collects events in memory, aggregates metrics, optionally sinks JSONL.
+    """Collects events in memory, or streams them to a JSONL sink.
 
     Args:
         sink: optional writable text stream; every event is written as one
             JSON line and flushed immediately, so piped/tailed logs stream
-            and a crashed run keeps everything recorded so far.
-        metrics: optional shared :class:`~repro.obs.metrics.MetricsRegistry`;
-            a fresh one is created by default.
+            and a crashed run keeps everything recorded so far.  A sinked
+            recorder keeps nothing in memory (``events`` stays empty), so
+            a long-lived daemon's memory stays flat.
     """
 
     enabled = True
 
-    def __init__(self, sink: Optional[Any] = None,
-                 metrics: Optional[Any] = None) -> None:
-        from .metrics import MetricsRegistry
+    def __init__(self, sink: Optional[Any] = None) -> None:
         self.events: List[Dict[str, Any]] = []
         self.sink = sink
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._local = threading.local()
         self._lock = threading.Lock()
         self._next_id = 1
@@ -216,11 +214,11 @@ class TraceRecorder(Recorder):
     # -- event emission ----------------------------------------------------
     def event(self, payload: Dict[str, Any]) -> None:
         with self._lock:
-            self.events.append(payload)
-            if self.sink is not None:
+            if self.sink is None:
+                self.events.append(payload)
+            else:
                 self.sink.write(json.dumps(payload) + "\n")
                 self.sink.flush()
-        self.metrics.record_event(payload)
 
     def _metric(self, type_: str, name: str, value: Union[int, float],
                 trial: Optional[int], tags: Dict[str, Any]) -> None:
@@ -396,10 +394,12 @@ class RunTracer:
         self.recorder = TraceRecorder(sink=self._handle)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self.recorder.sink = None
+        # under the recorder's lock: another thread may be mid-write
+        with self.recorder._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+                self.recorder.sink = None
 
     def __enter__(self) -> "RunTracer":
         return self

@@ -83,16 +83,6 @@ class TrialEvaluationError(RuntimeError):
     """A worker failed to evaluate a trial; carries the worker traceback."""
 
 
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return float(value) if value else default
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the engine reacts to worker faults.
@@ -125,22 +115,6 @@ class RetryPolicy:
             raise ValueError("retry/respawn budgets must be non-negative")
         if self.backoff_s < 0:
             raise ValueError("backoff_s must be non-negative")
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy from ``BOMP_TRIAL_TIMEOUT`` / ``BOMP_MAX_RETRIES`` /
-        ``BOMP_RETRY_BACKOFF`` / ``BOMP_MAX_POOL_RESPAWNS`` (<= 0 timeout
-        disables it)."""
-        timeout: Optional[float] = _env_float("BOMP_TRIAL_TIMEOUT",
-                                              DEFAULT_TRIAL_TIMEOUT_S)
-        if timeout is not None and timeout <= 0:
-            timeout = None
-        return cls(
-            trial_timeout_s=timeout,
-            max_retries=_env_int("BOMP_MAX_RETRIES", cls.max_retries),
-            backoff_s=_env_float("BOMP_RETRY_BACKOFF", cls.backoff_s),
-            max_pool_respawns=_env_int("BOMP_MAX_POOL_RESPAWNS",
-                                       cls.max_pool_respawns))
 
 
 @dataclass(frozen=True)
@@ -317,8 +291,7 @@ class TrialEngine:
         cost_model / space: optional evaluator collaborators, forwarded.
         evaluator: an existing in-process evaluator to reuse on the serial
             path (avoids rebuilding the search space).
-        retry_policy: fault-handling policy (default: from the environment,
-            see :meth:`RetryPolicy.from_env`).
+        retry_policy: fault-handling policy (default: ``RetryPolicy()``).
         reporter: console reporter for recovery/diagnostic lines (default:
             a stderr reporter, so library users see pool failures without
             polluting stdout results).
@@ -339,7 +312,7 @@ class TrialEngine:
         self.cost_model = cost_model
         self.space = space
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_env())
+                             else RetryPolicy())
         self.reporter = (reporter if reporter is not None
                          else ConsoleReporter(stream=sys.stderr))
         self._evaluator = evaluator

@@ -9,9 +9,8 @@ The serving stack, bottom to top:
 - :mod:`~repro.serve.batcher` — dynamic batching workers, each with a
   private :class:`~repro.infer.engine.ArenaExecutor`;
 - :mod:`~repro.serve.daemon` — the stdlib-HTTP front end, admission
-  control, and graceful drain (``repro serve``);
-- :mod:`~repro.serve.report` — the SLO report over ``serve_stats.json``
-  (``repro serve-report``);
+  control, graceful drain, and the run's ``events.jsonl`` (``repro
+  serve``; ``repro report`` renders its SLO table);
 - :mod:`~repro.serve.bench` — a deterministic ``.bomp`` artifact for
   tests, the smoke script and the benchmark.
 
@@ -22,22 +21,15 @@ workload; metrics in ``BENCHMARK.json``), which drives
 """
 
 from .batcher import BatchWorker, ModelRuntime
-from .daemon import (STATS_FILENAME, STATS_SCHEMA_VERSION, ServeConfig,
-                     ServeDaemon)
+from .daemon import ServeConfig, ServeDaemon
 from .queueing import (AdmissionError, ModelDraining, ModelQueue,
                        QueueFullError, RequestTimeout, ServeRequest,
                        UnknownModel)
 from .registry import ModelEntry, ModelRegistry, RegistryError
-from .report import (ModelSLO, ServeReport, ServeStatsError, build_report,
-                     load_serve_stats, render_serve_report,
-                     validate_serve_stats)
 
 __all__ = [
     "AdmissionError", "BatchWorker", "ModelDraining", "ModelEntry",
-    "ModelQueue", "ModelRegistry", "ModelRuntime", "ModelSLO",
-    "QueueFullError", "RegistryError", "RequestTimeout", "ServeConfig",
-    "ServeDaemon", "ServeReport", "ServeRequest", "ServeStatsError",
-    "STATS_FILENAME", "STATS_SCHEMA_VERSION", "UnknownModel",
-    "build_report", "load_serve_stats", "render_serve_report",
-    "validate_serve_stats",
+    "ModelQueue", "ModelRegistry", "ModelRuntime", "QueueFullError",
+    "RegistryError", "RequestTimeout", "ServeConfig", "ServeDaemon",
+    "ServeRequest", "UnknownModel",
 ]

@@ -18,10 +18,14 @@ scratch) is owned by exactly one worker thread, because an executor
 belongs to one thread.  ``workers_per_model > 1`` therefore scales
 concurrency by adding arenas, never by sharing one.
 
-Per-request bookkeeping feeds the SLO metrics
-(``serve.<model>.latency_s`` histograms, ``serve.<model>.timeouts``
-counters, batch-size histograms) through the thread-safe
-:mod:`repro.obs.metrics` registry owned by the daemon.
+Each outcome is recorded once, by the object that sees it, as one raw
+event: a ``serve.batch`` span per batch, a ``serve.<model>.latency_s``
+histogram observation per answered request, and a
+``serve.<model>.timeouts`` / ``serve.<model>.errors`` counter per
+queue-expired or failed request (the worker), or ``serve.<model>.shed``
+per shed request (the runtime).  ``repro report`` computes the SLO table
+from these events; the live counts behind ``/v1/stats`` are plain ints
+owned by the same objects (:meth:`ModelRuntime.describe`).
 """
 
 from __future__ import annotations
@@ -32,51 +36,42 @@ from typing import List, Optional
 import numpy as np
 
 from ..infer.engine import ArenaExecutor
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import get_recorder
-from .queueing import ModelQueue, RequestTimeout, ServeRequest
+from ..obs.trace import Recorder, get_recorder
+from .queueing import ModelQueue, QueueFullError, RequestTimeout, ServeRequest
 from .registry import ModelEntry
-
-#: sub-second latency buckets (seconds) for the serve SLO histograms —
-#: the default trace buckets top out too coarse below 1 ms
-LATENCY_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0)
-
-#: batch-size buckets: exact counts up to 16, then coarse
-BATCH_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 32, 64, 128, 256)
 
 
 class BatchWorker(threading.Thread):
-    """One arena, one thread, one model: drains batches until closed."""
+    """One arena, one thread, one model: drains batches until closed.
+
+    ``recorder`` receives the worker's events; ``None`` means the
+    process-wide current recorder at each emit.
+    """
 
     def __init__(self, entry: ModelEntry, queue: ModelQueue,
-                 metrics: MetricsRegistry, max_batch: int,
-                 max_wait_s: float, worker_index: int = 0) -> None:
+                 max_batch: int, max_wait_s: float, worker_index: int = 0,
+                 recorder: Optional[Recorder] = None) -> None:
         super().__init__(
             name=f"serve-{entry.name}-w{worker_index}", daemon=True)
         self.entry = entry
         self.queue = queue
-        self.metrics = metrics
+        self.recorder = recorder
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
+        # live counts, written only by this thread
         self.batches_run = 0
         self.images_run = 0
+        self.timeouts = 0
+        self.errors = 0
         # private execution state — never shared across threads
         self.executor = ArenaExecutor(entry.program, max_batch)
         h, w, c = entry.input_shape
         self._stage_x = np.empty((max_batch, h, w, c), dtype=np.float32)
         self._logits = np.empty((max_batch, entry.num_classes),
                                 dtype=np.float32)
-        prefix = f"serve.{entry.name}"
-        self._m_latency = metrics.histogram(f"{prefix}.latency_s",
-                                            LATENCY_BUCKETS)
-        self._m_batch = metrics.histogram(f"{prefix}.batch_size",
-                                          BATCH_BUCKETS)
-        self._m_requests = metrics.counter(f"{prefix}.requests")
-        self._m_batches = metrics.counter(f"{prefix}.batches")
-        self._m_timeouts = metrics.counter(f"{prefix}.timeouts")
-        self._m_errors = metrics.counter(f"{prefix}.errors")
+        self._latency = f"serve.{entry.name}.latency_s"
+        self._timeout = f"serve.{entry.name}.timeouts"
+        self._error = f"serve.{entry.name}.errors"
 
     def run(self) -> None:
         while True:
@@ -87,11 +82,11 @@ class BatchWorker(threading.Thread):
 
     # -- one batch ----------------------------------------------------------
     def _run_batch(self, batch: List[ServeRequest]) -> None:
-        live = self._drop_expired(batch)
+        recorder = self.recorder or get_recorder()
+        live = self._drop_expired(batch, recorder)
         if not live:
             return
         n = len(live)
-        recorder = get_recorder()
         try:
             x = self._stage_x[:n]
             for i, request in enumerate(live):
@@ -104,27 +99,26 @@ class BatchWorker(threading.Thread):
             else:
                 self.executor.run_batch_into(x, logits)
         except BaseException as exc:  # answer everyone, keep the worker up
-            self._m_errors.inc(n)
+            self.errors += n
             for request in live:
                 request.set_error(exc)
+                recorder.counter(self._error)
             return
         self.batches_run += 1
         self.images_run += n
-        self._m_batches.inc()
-        self._m_requests.inc(n)
-        self._m_batch.observe(n)
         for i, request in enumerate(live):
             # copy out: the logits scratch is reused for the next batch
             request.set_result(logits[i].copy())
-            self._m_latency.observe(request.latency_s)
+            recorder.observe(self._latency, request.latency_s)
 
-    def _drop_expired(self,
-                      batch: List[ServeRequest]) -> List[ServeRequest]:
+    def _drop_expired(self, batch: List[ServeRequest],
+                      recorder: Recorder) -> List[ServeRequest]:
         """Fail requests whose client deadline passed while they queued."""
         live = []
         for request in batch:
             if request.expired():
-                self._m_timeouts.inc()
+                self.timeouts += 1
+                recorder.counter(self._timeout)
                 request.set_error(RequestTimeout(
                     f"{self.entry.name}: spent too long in queue"))
             else:
@@ -135,19 +129,19 @@ class BatchWorker(threading.Thread):
 class ModelRuntime:
     """A loaded model plus its queue and worker pool; the serving unit."""
 
-    def __init__(self, entry: ModelEntry, metrics: MetricsRegistry,
-                 max_batch: int = 8, max_wait_s: float = 0.005,
-                 queue_depth: int = 64, workers: int = 1) -> None:
+    def __init__(self, entry: ModelEntry, max_batch: int = 8,
+                 max_wait_s: float = 0.005, queue_depth: int = 64,
+                 workers: int = 1,
+                 recorder: Optional[Recorder] = None) -> None:
         if workers < 1:
             raise ValueError("workers_per_model must be >= 1")
         self.entry = entry
         self.queue = ModelQueue(entry.name, maxsize=queue_depth)
-        self.metrics = metrics
-        self._m_shed = metrics.counter(f"serve.{entry.name}.shed")
-        self._m_depth = metrics.gauge(f"serve.{entry.name}.queue_depth")
+        self.recorder = recorder
         self.workers = [
-            BatchWorker(entry, self.queue, metrics, max_batch=max_batch,
-                        max_wait_s=max_wait_s, worker_index=i)
+            BatchWorker(entry, self.queue, max_batch=max_batch,
+                        max_wait_s=max_wait_s, worker_index=i,
+                        recorder=recorder)
             for i in range(workers)]
 
     def start(self) -> None:
@@ -155,13 +149,13 @@ class ModelRuntime:
             worker.start()
 
     def submit(self, request: ServeRequest) -> None:
-        """Admit one request (sheds on a full queue, counts the shed)."""
+        """Admit one request (sheds on a full queue, records the shed)."""
         try:
             self.queue.submit(request)
-        except Exception:
-            self._m_shed.inc()
+        except QueueFullError:
+            (self.recorder or get_recorder()).counter(
+                f"serve.{self.entry.name}.shed")
             raise
-        self._m_depth.set(self.queue.depth)
 
     def stop(self, drain: bool = True,
              timeout_s: Optional[float] = 30.0) -> int:
@@ -189,5 +183,8 @@ class ModelRuntime:
                     workers=len(self.workers),
                     draining=self.queue.closed,
                     batches_run=sum(w.batches_run for w in self.workers),
-                    images_run=sum(w.images_run for w in self.workers))
+                    images_run=sum(w.images_run for w in self.workers),
+                    shed=self.queue.shed,
+                    timeouts=sum(w.timeouts for w in self.workers),
+                    errors=sum(w.errors for w in self.workers))
         return info

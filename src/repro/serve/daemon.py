@@ -17,7 +17,7 @@ Endpoints (all JSON)::
     DELETE /v1/models/<name>            drain + evict one model
     POST   /v1/models/<name>/predict    {"inputs": [...], "timeout_ms": n,
                                          "return_logits": false}
-    GET    /v1/stats                    metrics snapshot (SLO source)
+    GET    /v1/stats                    live per-model counts
 
 Admission failures map to HTTP status codes (429 shed, 503 draining,
 404 unknown model, 504 deadline exceeded, 400 malformed, 411 a body sent
@@ -27,11 +27,22 @@ brokenness.  Malformed input — bad framing, a non-finite image, a
 ``timeout_ms`` that is not a positive number — is answered at the HTTP
 boundary and never reaches a queue.
 
+Recording: with ``ServeConfig.run_dir`` set, the daemon streams its
+events to ``<run_dir>/events.jsonl`` through a private
+:class:`~repro.obs.trace.RunTracer`: a ``meta`` event (serve config and
+host) first, then ``serve.load``, ``serve.batch`` and ``serve.drain``
+spans and the per-request outcome events of :mod:`repro.serve.batcher`.
+The tracer is never installed process-wide, so the integer engine's
+per-stage spans stay out of the log.  Without a run directory every
+event goes to the current recorder at the moment it is emitted.
+``repro report <run_dir>`` renders the SLO table from that log, even
+from a daemon killed mid-run.
+
 Lifecycle: :meth:`ServeDaemon.shutdown` with ``drain=True`` (what the
 CLI's SIGTERM handler calls) closes every queue first — new work is
 refused — lets the workers finish the admitted backlog, answers the
-waiting handler threads, then stops the HTTP server and writes the
-``serve_stats.json`` SLO snapshot into the run directory.
+waiting handler threads, records the ``serve.drain`` span, then stops
+the HTTP server and closes the event log.
 """
 
 from __future__ import annotations
@@ -47,17 +58,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..obs.host import host_metadata
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import get_recorder
+from ..obs.trace import Recorder, RunTracer, get_recorder
 from .queueing import (AdmissionError, RequestTimeout, ServeRequest,
                        UnknownModel)
 from .batcher import ModelRuntime
 from .registry import ModelRegistry, RegistryError
-
-#: serve_stats.json schema version (append-only: keys are only added)
-STATS_SCHEMA_VERSION = 1
-
-STATS_FILENAME = "serve_stats.json"
 
 #: largest request body the front end reads; a longer ``Content-Length``
 #: is answered 413 without reading the body
@@ -76,7 +81,7 @@ class ServeConfig:
     workers_per_model: int = 1        # arenas (threads) per model
     default_timeout_ms: float = 30_000.0   # server-side request deadline
     slo_p99_ms: Optional[float] = None     # reported-against target
-    run_dir: Optional[str] = None          # serve_stats.json destination
+    run_dir: Optional[str] = None          # events.jsonl destination
 
     def to_dict(self) -> Dict[str, Any]:
         data = asdict(self)
@@ -89,11 +94,18 @@ class ServeDaemon:
     """Registry + per-model runtimes + HTTP front end, one process."""
 
     def __init__(self, config: Optional[ServeConfig] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  registry: Optional[ModelRegistry] = None) -> None:
         self.config = config if config is not None else ServeConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.registry = registry if registry is not None else ModelRegistry()
+        # a private tracer, never installed process-wide; None means the
+        # current recorder at each emit
+        self._tracer: Optional[RunTracer] = None
+        self.recorder: Optional[Recorder] = None
+        if self.config.run_dir:
+            self._tracer = RunTracer(self.config.run_dir)
+            self.recorder = self._tracer.recorder
+            self.recorder.meta(serve=self.config.to_dict(),
+                               host=host_metadata())
         self._runtimes: Dict[str, ModelRuntime] = {}
         self._lock = threading.Lock()
         self._server: Optional[ThreadingHTTPServer] = None
@@ -102,9 +114,6 @@ class ServeDaemon:
         self._stopped = threading.Event()
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
-        self._m_requests = self.metrics.counter("serve.requests")
-        self._m_shed = self.metrics.counter("serve.shed")
-        self._m_timeouts = self.metrics.counter("serve.timeouts")
 
     # -- model management ---------------------------------------------------
     def load_model(self, name: str, path: Union[str, Path]) -> ModelRuntime:
@@ -116,15 +125,15 @@ class ServeDaemon:
         """
         if self._draining:
             raise RegistryError("daemon is draining; load refused")
-        recorder = get_recorder()
+        recorder = self.recorder or get_recorder()
         with recorder.span("serve.load", model=name):
             entry = self.registry.load(name, path)
             runtime = ModelRuntime(
-                entry, self.metrics,
-                max_batch=self.config.max_batch,
+                entry, max_batch=self.config.max_batch,
                 max_wait_s=self.config.max_wait_ms / 1000.0,
                 queue_depth=self.config.queue_depth,
-                workers=self.config.workers_per_model)
+                workers=self.config.workers_per_model,
+                recorder=self.recorder)
         with self._lock:
             old = self._runtimes.get(name)
             runtime.start()
@@ -157,16 +166,10 @@ class ServeDaemon:
 
         The in-process entry point: HTTP handlers, the load generator,
         and tests all go through here, so they share admission,
-        batching, and metrics behavior exactly.
+        batching, and recording behavior exactly.
         """
-        runtime = self.runtime(model)
         request = ServeRequest(model, image, timeout_s=timeout_s)
-        try:
-            runtime.submit(request)
-        except AdmissionError:
-            self._m_shed.inc()
-            raise
-        self._m_requests.inc()
+        self.runtime(model).submit(request)
         return request
 
     def predict(self, model: str, images: np.ndarray,
@@ -176,14 +179,8 @@ class ServeDaemon:
             timeout_s = self.config.default_timeout_ms / 1000.0
         requests = [self.submit(model, image, timeout_s=timeout_s)
                     for image in images]
-        rows = []
-        for request in requests:
-            try:
-                rows.append(request.wait(timeout_s * 2))
-            except RequestTimeout:
-                self._m_timeouts.inc()
-                raise
-        return np.stack(rows)
+        return np.stack([request.wait(timeout_s * 2)
+                         for request in requests])
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> Tuple[str, int]:
@@ -221,7 +218,7 @@ class ServeDaemon:
         self._stopped.set()
 
     def shutdown(self, drain: bool = True) -> Dict[str, Any]:
-        """Stop everything; returns the final stats payload.
+        """Stop everything; returns the final live counts.
 
         Drain order matters: close admission first (clients get 503 and
         can fail over), let the batch workers empty the admitted
@@ -235,25 +232,22 @@ class ServeDaemon:
             runtimes = list(self._runtimes.values())
         if already:
             return self.stats_snapshot()
-        recorder = get_recorder()
+        recorder = self.recorder or get_recorder()
         with recorder.span("serve.drain", models=len(runtimes),
-                           clean=drain):
+                           clean=drain) as drain_span:
             flushed = sum(runtime.stop(drain=drain)
                           for runtime in runtimes)
+            drain_span.tags["flushed"] = flushed
+        if self._tracer is not None:
+            self._tracer.close()
         if self._server is not None:
             self._server.shutdown()        # stop accepting connections
             self._server.server_close()    # join handler threads
             if self._server_thread is not None:
                 self._server_thread.join(10.0)
         self.stopped_at = time.time()
-        stats = self.stats_snapshot(flushed=flushed, drained=drain)
-        if self.config.run_dir:
-            run_dir = Path(self.config.run_dir)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / STATS_FILENAME).write_text(
-                json.dumps(stats, indent=2, sort_keys=True) + "\n")
         self._stopped.set()
-        return stats
+        return self.stats_snapshot(flushed=flushed, drained=drain)
 
     @property
     def draining(self) -> bool:
@@ -261,21 +255,19 @@ class ServeDaemon:
 
     def stats_snapshot(self, flushed: int = 0,
                        drained: bool = True) -> Dict[str, Any]:
-        """The ``serve_stats.json`` payload (also ``GET /v1/stats``)."""
+        """Live per-model counts (``GET /v1/stats``, :meth:`shutdown`);
+        latency percentiles come from ``repro report`` over the log."""
         with self._lock:
             runtimes = [self._runtimes[name]
                         for name in sorted(self._runtimes)]
         return {
-            "schema": STATS_SCHEMA_VERSION,
             "started_at": self.started_at,
             "stopped_at": self.stopped_at,
             "draining": self._draining,
             "drained_cleanly": drained,
             "flushed_requests": flushed,
             "config": self.config.to_dict(),
-            "host": host_metadata(),
             "models": [runtime.describe() for runtime in runtimes],
-            "metrics": self.metrics.snapshot(),
         }
 
 
@@ -302,11 +294,11 @@ def _make_handler(daemon: ServeDaemon):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
-        server_version = "repro-serve/" + str(STATS_SCHEMA_VERSION)
+        server_version = "repro-serve"
 
         # -- plumbing -----------------------------------------------------
         def log_message(self, *args: Any) -> None:
-            pass                          # quiet; metrics cover it
+            pass                          # quiet; the event log covers it
 
         def _send(self, status: int, payload: Dict[str, Any]) -> None:
             body = json.dumps(payload).encode()
@@ -353,7 +345,8 @@ def _make_handler(daemon: ServeDaemon):
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 payload = json.loads(raw.decode() or "{}")
-            except ValueError:    # bad JSON or UTF-8, or an int too long
+            # bad JSON or UTF-8, an int too long, or nesting too deep
+            except (ValueError, RecursionError):
                 self._error(400, "body is not valid JSON")
                 return None
             if not isinstance(payload, dict):
@@ -431,9 +424,12 @@ def _make_handler(daemon: ServeDaemon):
                 self._error(exc.status, str(exc))
                 return
             try:
-                images = np.asarray(payload.get("inputs"),
-                                    dtype=np.float32)
-            except (TypeError, ValueError):
+                # a float32 overflow becomes inf, refused below
+                with np.errstate(over="ignore"):
+                    images = np.asarray(payload.get("inputs"),
+                                        dtype=np.float32)
+            # ragged, non-numeric, or an int beyond float range
+            except (TypeError, ValueError, OverflowError):
                 self._error(400, "'inputs' must be a numeric array")
                 return
             shape = runtime.entry.input_shape
@@ -465,8 +461,7 @@ def _make_handler(daemon: ServeDaemon):
             try:
                 for request in requests:
                     rows.append(request.wait(timeout_s * 2))
-            except RequestTimeout as exc:
-                daemon._m_timeouts.inc()
+            except RequestTimeout as exc:  # the worker records expiries
                 self._error(exc.status, str(exc))
                 return
             except Exception as exc:       # executor failure

@@ -6,7 +6,8 @@ Requests are admitted into a :class:`ModelQueue`, the backpressure unit:
 
 - **bounded** — a full queue sheds the request immediately
   (:class:`QueueFullError`, HTTP 429) instead of letting latency grow
-  without bound; the queue depth *is* the admission policy;
+  without bound; the queue depth *is* the admission policy, and the
+  queue counts its sheds (``shed``; a drain refusal is not a shed);
 - **deadline-aware** — a request older than its client deadline when a
   worker picks it up fails fast (:class:`RequestTimeout`, HTTP 504)
   rather than wasting a batch slot on an answer nobody is waiting for;
@@ -135,6 +136,7 @@ class ModelQueue:
         self.name = name
         self.maxsize = maxsize
         self.closed = False
+        self.shed = 0
         self._items: "deque[ServeRequest]" = deque()
         self._cond = threading.Condition()
 
@@ -152,6 +154,7 @@ class ModelQueue:
                 raise ModelDraining(f"{self.name}: draining, not "
                                     "accepting new requests")
             if len(self._items) >= self.maxsize:
+                self.shed += 1
                 raise QueueFullError(
                     f"{self.name}: queue full ({self.maxsize} waiting)")
             self._items.append(request)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.env import EnvVarError
 from repro.nas import BOMPNAS
 from repro.obs import profile
 from repro.obs.profile import (KernelProfiler, kernel, mode_from_env,
@@ -43,9 +44,21 @@ class TestModeFromEnv:
     def test_time_values(self, value):
         assert mode_from_env({"BOMP_PROFILE": value}) == "time"
 
+    @pytest.mark.parametrize("value", ["true", "TRUE", " True "])
+    def test_true_selects_time(self, value):
+        assert mode_from_env({"BOMP_PROFILE": value}) == "time"
+
     @pytest.mark.parametrize("value", ["alloc", "allocs", "mem", "memory"])
     def test_alloc_values(self, value):
         assert mode_from_env({"BOMP_PROFILE": value}) == "alloc"
+
+    @pytest.mark.parametrize("value", ["banana", "3", "timee", "on off"])
+    def test_unknown_spelling_refused(self, value):
+        with pytest.raises(ValueError) as info:
+            mode_from_env({"BOMP_PROFILE": value})
+        assert isinstance(info.value, EnvVarError)
+        assert "BOMP_PROFILE" in str(info.value)
+        assert repr(value) in str(info.value)
 
 
 class TestKernelTimer:
@@ -216,14 +229,14 @@ class TestProfileInvariance:
     def test_phase_walls_match_span_durations(self, serial_run, tmp_path,
                                               monkeypatch):
         """Acceptance: per-phase exclusive sums within 5% of span wall."""
-        from repro.obs.profreport import load_profile
-        from repro.obs.trace import RunTracer
+        from repro.obs.profreport import aggregate
+        from repro.obs.trace import RunTracer, read_events
         config, dataset, _ = serial_run
         monkeypatch.setenv(profile.PROFILE_ENV, "1")
         with RunTracer(tmp_path / "run3") as tracer:
             BOMPNAS(config, dataset).run(final_training=False, workers=1,
                                          tracer=tracer)
-        view = load_profile(tmp_path / "run3")
+        view = aggregate(read_events(tmp_path / "run3"))
         prof_total = sum(s["excl_s"] for s in view.phases.values())
         span_total = sum(view.span_phase_s.get(name, 0.0)
                          for name in view.phases)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.profreport import (aggregate, flame_svg, hotspot_lines,
-                                  load_profile, render_hotspots)
+                                  render_hotspots)
 from repro.obs.trace import EVENTS_FILENAME
 
 
@@ -114,41 +114,49 @@ class TestFlameSvg:
         assert "&lt;arch&gt;" in svg
 
 
-class TestLoadProfile:
+class TestLoadReportTolerance:
+    """A missing, torn or empty log degrades to warnings in the report."""
+
     def test_round_trip_through_file(self, tmp_path, synthetic_events):
+        from repro.obs.report import load_report
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         with open(run_dir / EVENTS_FILENAME, "w") as handle:
             for event in synthetic_events:
                 handle.write(json.dumps(event) + "\n")
-        view = load_profile(run_dir)
-        assert view.warnings == []
+        report = load_report(run_dir)
+        assert report.warnings == []
+        view = aggregate(report.events)
         assert view.has_profile
         assert view.phases["train"]["excl_s"] == pytest.approx(2.4)
 
     def test_missing_log_warns_not_raises(self, tmp_path):
-        view = load_profile(tmp_path)
-        assert not view.has_profile
-        assert any("no event log" in w for w in view.warnings)
+        from repro.obs.report import load_report
+        report = load_report(tmp_path)
+        assert not report.profile_events
+        assert any("no event log" in w for w in report.warnings)
 
     def test_torn_tail_dropped_with_warning(self, tmp_path,
                                             synthetic_events):
+        from repro.obs.report import load_report
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         with open(run_dir / EVENTS_FILENAME, "w") as handle:
             for event in synthetic_events:
                 handle.write(json.dumps(event) + "\n")
             handle.write('{"type": "profile", "scope": "ker')  # torn
-        view = load_profile(run_dir)
-        assert view.has_profile  # the parseable prefix survived
-        assert any("torn tail" in w for w in view.warnings)
+        report = load_report(run_dir)
+        # the parseable prefix survived
+        assert aggregate(report.events).has_profile
+        assert any("torn tail" in w for w in report.warnings)
 
     def test_empty_log_warns(self, tmp_path):
+        from repro.obs.report import load_report
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         (run_dir / EVENTS_FILENAME).touch()
-        view = load_profile(run_dir)
-        assert any("empty" in w for w in view.warnings)
+        report = load_report(run_dir)
+        assert any("empty" in w for w in report.warnings)
 
 
 class TestReportIntegration:
@@ -174,33 +182,37 @@ class TestReportIntegration:
         assert "WARNING" in render_text(report)
 
 
-class TestProfileCli:
+class TestReportCliProfile:
+    """``repro report`` prints the hotspot table of a profiled run."""
+
+    def _write(self, run_dir, events):
+        run_dir.mkdir()
+        with open(run_dir / EVENTS_FILENAME, "w") as handle:
+            for event in events:
+                handle.write(json.dumps(event) + "\n")
+
     def test_prints_table_and_writes_svg(self, tmp_path, capsys,
                                          synthetic_events):
         from repro.cli import main
         run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        with open(run_dir / EVENTS_FILENAME, "w") as handle:
-            for event in synthetic_events:
-                handle.write(json.dumps(event) + "\n")
-        assert main(["profile", str(run_dir), "--top", "3"]) == 0
+        self._write(run_dir, synthetic_events)
+        svg = tmp_path / "x.svg"
+        assert main(["report", str(run_dir), "--svg-out", str(svg)]) == 0
         out = capsys.readouterr().out
+        assert "profiler hotspots:" in out
         assert "phase breakdown" in out
         assert "nn.conv2d.fwd" in out
-        assert (run_dir / "flame.svg").exists()
+        assert (tmp_path / "x-flame.svg").exists()
 
-    def test_svg_out_none_skips_svg(self, tmp_path, capsys,
-                                    synthetic_events):
+    def test_no_svg_out_writes_no_svg(self, tmp_path, capsys,
+                                      synthetic_events):
         from repro.cli import main
         run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        with open(run_dir / EVENTS_FILENAME, "w") as handle:
-            for event in synthetic_events:
-                handle.write(json.dumps(event) + "\n")
-        assert main(["profile", str(run_dir), "--svg-out", "none"]) == 0
-        assert not (run_dir / "flame.svg").exists()
+        self._write(run_dir, synthetic_events)
+        assert main(["report", str(run_dir)]) == 0
+        assert not list(tmp_path.rglob("*.svg"))
 
-    def test_unprofiled_run_exits_nonzero(self, tmp_path, capsys):
+    def test_missing_log_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import main
-        assert main(["profile", str(tmp_path)]) == 1
-        assert "no profile events" in capsys.readouterr().out
+        assert main(["report", str(tmp_path)]) == 1
+        assert "no events.jsonl" in capsys.readouterr().out

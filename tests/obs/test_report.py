@@ -1,10 +1,17 @@
 """The search-health report over a real traced run."""
 
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.report import (RunReport, calibration_svg, load_report,
                               render_text, trajectory_svg, write_report)
-from repro.obs.trace import read_events
+from repro.obs.trace import EVENTS_FILENAME, read_events
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +100,37 @@ class TestRendering:
         assert svg.exists()
         assert (tmp_path / "dash-calibration.svg").exists()
         assert len(report.events) == len(read_events(run_dir))
+
+
+class TestPoolFigures:
+    """Pool figures come from the raw events: exact, never bucket edges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(task_s=st.lists(st.floats(min_value=1e-4, max_value=500.0),
+                           min_size=1, max_size=40))
+    def test_task_time_percentiles_are_exact(self, task_s):
+        events = [{"type": "gauge", "name": "pool.batch_wall_s",
+                   "value": 1.0, "trial": None, "tags": {}}]
+        events += [{"type": "hist", "name": "pool.task_s", "value": value,
+                    "trial": None, "tags": {}} for value in task_s]
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(Path(tmp) / EVENTS_FILENAME, "w") as handle:
+                handle.writelines(json.dumps(e) + "\n" for e in events)
+            text = render_text(load_report(tmp))
+        assert (f"task time p50={np.percentile(task_s, 50):.3g}s "
+                f"p90={np.percentile(task_s, 90):.3g}s "
+                f"max={max(task_s):.3g}s") in text
+
+    def test_utilisation_and_skew_from_gauges(self, tmp_path):
+        events = [{"type": "gauge", "name": name, "value": value,
+                   "trial": None, "tags": {}}
+                  for name, value in (("pool.batch_wall_s", 2.0),
+                                      ("pool.utilisation", 0.5),
+                                      ("pool.utilisation", 0.9),
+                                      ("pool.skew", 1.25),
+                                      ("pool.skew", 1.75))]
+        with open(tmp_path / EVENTS_FILENAME, "w") as handle:
+            handle.writelines(json.dumps(e) + "\n" for e in events)
+        text = render_text(load_report(tmp_path))
+        assert "worker utilisation mean=70.0% min=50.0%" in text
+        assert "task skew (max/mean) mean=1.50 max=1.75" in text

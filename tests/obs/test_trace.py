@@ -2,6 +2,8 @@
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -58,7 +60,7 @@ class TestTraceRecorder:
             rec.gauge("score", 1.5)
         event = [e for e in rec.events if e["type"] == "gauge"][0]
         assert event["trial"] == 3
-        assert rec.metrics.gauge("score").value == 1.5
+        assert event["value"] == 1.5
 
     def test_ingest_rebases_span_ids(self):
         worker = TraceRecorder()
@@ -90,6 +92,46 @@ class TestTraceRecorder:
         lines = sink.getvalue().strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["value"] == 2.0
+
+    def test_sinked_recorder_keeps_nothing_in_memory(self):
+        """A long-lived daemon's recorder must not grow with its log."""
+        sink = io.StringIO()
+        rec = TraceRecorder(sink=sink)
+        for i in range(50):
+            with rec.span("serve.batch", images=1):
+                rec.observe("serve.m.latency_s", 0.001 * i)
+        assert len(sink.getvalue().splitlines()) == 100
+        assert rec.events == []
+
+    def test_concurrent_emit_never_tears(self):
+        """Serve worker and handler threads share one sinked recorder:
+        every event lands as one whole line, span ids stay unique."""
+        sink = io.StringIO()
+        rec = TraceRecorder(sink=sink)
+        n_threads, per_thread = 8, 200
+
+        def emit():
+            for i in range(per_thread):
+                with rec.span("serve.batch", images=1):
+                    rec.observe("serve.m.latency_s", i * 1e-3)
+                rec.counter("serve.m.shed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=emit)
+                       for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert len(events) == 3 * n_threads * per_thread
+        spans = [e["span"] for e in events if e["type"] == "span"]
+        assert len(spans) == len(set(spans)) == n_threads * per_thread
 
     def test_meta_carries_schema_version(self):
         rec = TraceRecorder()

@@ -12,18 +12,22 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceRecorder
 from repro.serve.batcher import ModelRuntime
 from repro.serve.queueing import RequestTimeout, ServeRequest
 from repro.serve.registry import ModelRegistry
 
 
-def make_runtime(path, metrics=None, **kwargs):
+def make_runtime(path, **kwargs):
     registry = ModelRegistry()
     entry = registry.load("m", path)
-    runtime = ModelRuntime(entry, metrics or MetricsRegistry(), **kwargs)
+    runtime = ModelRuntime(entry, **kwargs)
     runtime.start()
     return runtime
+
+
+def counters(recorder):
+    return [e["name"] for e in recorder.events if e["type"] == "counter"]
 
 
 class TestBitIdentity:
@@ -96,8 +100,8 @@ class TestBitIdentity:
 class TestFailureIsolation:
     def test_expired_requests_fail_fast(self, serve_artifact_path,
                                         serve_images):
-        metrics = MetricsRegistry()
-        runtime = make_runtime(serve_artifact_path, metrics=metrics,
+        recorder = TraceRecorder()
+        runtime = make_runtime(serve_artifact_path, recorder=recorder,
                                max_batch=4, max_wait_s=0.0)
         request = ServeRequest("m", serve_images[0], timeout_s=60.0)
         request.deadline = request.enqueued_at - 1.0   # already expired
@@ -105,13 +109,13 @@ class TestFailureIsolation:
         with pytest.raises(RequestTimeout):
             request.wait(10.0)
         runtime.stop()
-        snapshot = metrics.snapshot()
-        assert snapshot["serve.m.timeouts"]["value"] == 1
+        assert runtime.describe()["timeouts"] == 1
+        assert counters(recorder) == ["serve.m.timeouts"]
 
     def test_executor_error_answers_batch_and_worker_survives(
             self, serve_artifact_path, serve_images):
-        metrics = MetricsRegistry()
-        runtime = make_runtime(serve_artifact_path, metrics=metrics,
+        recorder = TraceRecorder()
+        runtime = make_runtime(serve_artifact_path, recorder=recorder,
                                max_batch=4, max_wait_s=0.0)
         worker = runtime.workers[0]
         original = worker.executor.run_batch_into
@@ -133,14 +137,18 @@ class TestFailureIsolation:
         runtime.submit(healthy)
         assert healthy.wait(10.0).shape == (10,)
         runtime.stop()
-        assert metrics.snapshot()["serve.m.errors"]["value"] == 1
+        assert runtime.describe()["errors"] == 1
+        assert counters(recorder) == ["serve.m.errors"]
+        latencies = [e for e in recorder.events
+                     if e["name"] == "serve.m.latency_s"]
+        assert len(latencies) == 1            # the healthy request only
 
     def test_hard_stop_flushes_backlog(self, serve_artifact_path,
                                        serve_images):
         # workers never started: the backlog can only leave via flush
         registry = ModelRegistry()
         entry = registry.load("m", serve_artifact_path)
-        runtime = ModelRuntime(entry, MetricsRegistry(), max_batch=4)
+        runtime = ModelRuntime(entry, max_batch=4)
         stalled = [ServeRequest("m", image, timeout_s=60.0)
                    for image in serve_images[:3]]
         for request in stalled:

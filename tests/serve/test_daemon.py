@@ -1,21 +1,37 @@
-"""Daemon end-to-end: HTTP protocol, admission statuses, graceful drain."""
+"""Daemon end-to-end: HTTP protocol, admission statuses, graceful drain,
+and the run's event log."""
 
 import http.client
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.obs.report import load_report, render_text
 from repro.obs.schema import validate_path
+from repro.obs.trace import read_events
 from repro.serve import (ModelDraining, QueueFullError, ServeConfig,
                          ServeDaemon, UnknownModel)
-from repro.serve.daemon import MAX_BODY_BYTES, STATS_FILENAME
+from repro.serve.daemon import MAX_BODY_BYTES
 
 from .conftest import IMAGE_SIZE
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def counters(run_dir):
+    return [e["name"] for e in read_events(run_dir)
+            if e["type"] == "counter"]
 
 
 @pytest.fixture
@@ -168,10 +184,17 @@ class TestHTTP:
             assert response.status == 200
         assert "second" not in daemon.model_names()
 
-    def test_stats_endpoint(self, base_url):
+    def test_stats_endpoint(self, base_url, serve_images):
+        post(base_url + "/v1/models/m/predict",
+             {"inputs": serve_images[:3].tolist()})
         status, stats = get(base_url + "/v1/stats")
         assert status == 200
-        assert stats["schema"] == 1 and "serve.requests" in stats["metrics"]
+        [model] = stats["models"]
+        assert model["images_run"] == 3 and model["batches_run"] >= 1
+        assert model["shed"] == model["timeouts"] == model["errors"] == 0
+        # live counts only: latency percentiles come from repro report
+        assert "metrics" not in stats
+        assert not any("p99" in key for key in model)
 
     def test_eight_concurrent_clients(self, base_url, serve_images,
                                       serve_reference_program):
@@ -207,8 +230,9 @@ class TestHTTP:
 
 class TestAdmission:
     def test_shed_when_queue_full(self, serve_artifact_path,
-                                  serve_images):
-        daemon = ServeDaemon(ServeConfig(max_batch=4, queue_depth=1))
+                                  serve_images, tmp_path):
+        daemon = ServeDaemon(ServeConfig(max_batch=4, queue_depth=1,
+                                         run_dir=str(tmp_path / "run")))
         daemon.load_model("m", serve_artifact_path)
         runtime = daemon.runtime("m")
         # hold the queue lock so the worker cannot drain while we fill
@@ -218,10 +242,39 @@ class TestAdmission:
             with pytest.raises(QueueFullError):
                 daemon.submit("m", serve_images[0])
             runtime.queue._items.pop()
-        snapshot = daemon.metrics.snapshot()
-        assert snapshot["serve.shed"]["value"] == 1
-        assert snapshot["serve.m.shed"]["value"] == 1
-        daemon.shutdown(drain=False)
+        stats = daemon.shutdown(drain=False)
+        assert stats["models"][0]["shed"] == 1
+        # counted once, by the runtime that saw it
+        assert counters(tmp_path / "run") == ["serve.m.shed"]
+
+    def test_drain_refusal_is_not_a_shed(self, serve_artifact_path,
+                                         serve_images, tmp_path):
+        daemon = ServeDaemon(ServeConfig(max_batch=4,
+                                         run_dir=str(tmp_path / "run")))
+        daemon.load_model("m", serve_artifact_path)
+        daemon.runtime("m").queue.close()
+        with pytest.raises(ModelDraining):
+            daemon.submit("m", serve_images[0])
+        stats = daemon.shutdown(drain=True)
+        assert stats["models"][0]["shed"] == 0
+        assert counters(tmp_path / "run") == []
+
+    def test_queue_expired_request_counted_once(self, serve_artifact_path,
+                                                serve_images, tmp_path):
+        """An expiry is counted by the worker only, not also by the
+        handler that answers 504."""
+        daemon = ServeDaemon(ServeConfig(port=0, max_batch=4,
+                                         max_wait_ms=0.0,
+                                         run_dir=str(tmp_path / "run")))
+        daemon.load_model("m", serve_artifact_path)
+        host, port = daemon.start()
+        status, body = post(f"http://{host}:{port}/v1/models/m/predict",
+                            {"inputs": serve_images[0].tolist(),
+                             "timeout_ms": 0.001})
+        assert status == 504, body
+        stats = daemon.shutdown(drain=True)
+        assert stats["models"][0]["timeouts"] == 1
+        assert counters(tmp_path / "run") == ["serve.m.timeouts"]
 
     def test_unknown_model_raises(self, serve_artifact_path):
         daemon = ServeDaemon(ServeConfig())
@@ -239,11 +292,11 @@ class TestDrain:
         with pytest.raises(ModelDraining):
             daemon.submit("m", serve_images[0])
 
-    def test_drain_answers_backlog_and_writes_stats(
+    def test_drain_answers_backlog_and_writes_event_log(
             self, serve_artifact_path, serve_images, tmp_path):
         run_dir = tmp_path / "run"
         daemon = ServeDaemon(ServeConfig(
-            port=0, max_batch=4, max_wait_ms=50.0,
+            port=0, max_batch=4, max_wait_ms=50.0, slo_p99_ms=60_000.0,
             run_dir=str(run_dir)))
         daemon.start()
         daemon.load_model("m", serve_artifact_path)
@@ -255,12 +308,52 @@ class TestDrain:
             assert request.wait(10.0).shape == (10,)
         assert stats["flushed_requests"] == 0
         assert stats["drained_cleanly"] is True
+        assert stats["models"][0]["images_run"] == 6
         assert daemon.wait(1.0)                  # stopped event set
-        stats_file = run_dir / STATS_FILENAME
-        assert stats_file.exists()
-        assert validate_path(stats_file) == []
-        assert json.loads(stats_file.read_text())["metrics"][
-            "serve.m.requests"]["value"] == 6.0
+        assert validate_path(run_dir) == []
+        events = read_events(run_dir)
+        assert events[0]["type"] == "meta"
+        assert events[0]["serve"]["slo_p99_ms"] == 60_000.0
+        assert "host" in events[0]
+        [drain] = [e for e in events if e.get("name") == "serve.drain"]
+        assert drain["tags"]["flushed"] == 0 and drain["tags"]["clean"]
+        report = load_report(run_dir)
+        assert len(report.served["m"].latencies_s) == 6
+        assert report.ok() and report.warnings == []
+
+    def test_served_log_has_latencies_and_no_stage_spans(
+            self, serve_artifact_path, serve_images, tmp_path):
+        """One latency event per answered request; the daemon's tracer
+        is never process-wide, so no ``infer.*`` stage span gets in."""
+        run_dir = tmp_path / "run"
+        daemon = ServeDaemon(ServeConfig(port=0, max_batch=4,
+                                         max_wait_ms=2.0,
+                                         run_dir=str(run_dir)))
+        daemon.load_model("m", serve_artifact_path)
+        host, port = daemon.start()
+        status, _ = post(f"http://{host}:{port}/v1/models/m/predict",
+                         {"inputs": serve_images[:7].tolist()})
+        assert status == 200
+        daemon.shutdown(drain=True)
+        events = read_events(run_dir)
+        latencies = [e for e in events if e["type"] == "hist"]
+        assert [e["name"] for e in latencies] == ["serve.m.latency_s"] * 7
+        names = {e["name"] for e in events if e["type"] == "span"}
+        assert not any(name.startswith("infer.") for name in names)
+        assert {"serve.load", "serve.batch", "serve.drain"} <= names
+
+    def test_no_run_dir_records_into_current_recorder(
+            self, serve_artifact_path, serve_images):
+        from repro.obs.trace import TraceRecorder, use_recorder
+        daemon = ServeDaemon(ServeConfig(max_batch=4))
+        daemon.load_model("m", serve_artifact_path)
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            daemon.predict("m", serve_images[:2], timeout_s=60.0)
+        daemon.shutdown(drain=True)
+        names = [e["name"] for e in recorder.events]
+        assert names.count("serve.m.latency_s") == 2
+        assert "serve.batch" in names
 
     def test_second_shutdown_is_idempotent(self, serve_artifact_path):
         daemon = ServeDaemon(ServeConfig())
@@ -268,7 +361,7 @@ class TestDrain:
         first = daemon.shutdown(drain=True)
         second = daemon.shutdown(drain=True)
         assert second["draining"] is True
-        assert first["schema"] == second["schema"] == 1
+        assert first["models"] == second["models"]
 
     def test_load_refused_while_draining(self, serve_artifact_path):
         daemon = ServeDaemon(ServeConfig())
@@ -276,3 +369,49 @@ class TestDrain:
         from repro.serve.registry import RegistryError
         with pytest.raises(RegistryError, match="draining"):
             daemon.load_model("m", serve_artifact_path)
+
+
+class TestServeProcess:
+    """``repro serve --run-dir D`` as a process, ended by a signal."""
+
+    def _serve(self, artifact, run_dir):
+        env = dict(os.environ,
+                   PYTHONPATH=str(REPO_ROOT / "src") + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--model", f"m={artifact}", "--run-dir", str(run_dir),
+             "--slo-p99-ms", "60000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        for line in proc.stdout:
+            match = re.search(r"serving on (http://\S+)", line)
+            if match:
+                return proc, match.group(1)
+        proc.kill()
+        raise AssertionError(f"daemon never came up: {proc.stderr.read()}")
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL])
+    def test_log_survives_the_signal(self, serve_artifact_path,
+                                     serve_images, tmp_path, sig):
+        run_dir = tmp_path / "run"
+        proc, base = self._serve(serve_artifact_path, run_dir)
+        try:
+            status, _ = post(base + "/v1/models/m/predict",
+                             {"inputs": serve_images[:3].tolist()})
+            assert status == 200
+        finally:
+            proc.send_signal(sig)
+            out, err = proc.communicate(timeout=60)
+        assert validate_path(run_dir) == [], err
+        report = load_report(run_dir)
+        assert len(report.served["m"].latencies_s) == 3
+        text = render_text(report)
+        assert "serving:" in text and "p99 ms" in text
+        if sig == signal.SIGTERM:
+            assert proc.returncode == 0, err
+            assert report.drain_span is not None and report.ok()
+            assert "drained cleanly" in out  # cmd_serve prints the report
+        else:
+            assert report.drain_span is None
+            assert "no drain recorded" in text

@@ -1,5 +1,6 @@
 """Admission control unit tests: futures, bounded queues, batch takeout."""
 
+import sys
 import threading
 import time
 
@@ -63,12 +64,42 @@ class TestModelQueue:
         with pytest.raises(QueueFullError):
             queue.submit(req())
         assert queue.depth == 1                # the shed one never entered
+        assert queue.shed == 1
 
     def test_closed_queue_refuses(self):
         queue = ModelQueue("m")
         queue.close()
         with pytest.raises(ModelDraining):
             queue.submit(req())
+        assert queue.shed == 0                 # a drain refusal is no shed
+
+    def test_shed_count_exact_under_contention(self):
+        """Handler threads shed concurrently; no shed is lost."""
+        queue = ModelQueue("m", maxsize=5)
+        n_threads, per_thread = 16, 200
+        refused = [0] * n_threads
+
+        def submit(index):
+            for _ in range(per_thread):
+                try:
+                    queue.submit(req())
+                except QueueFullError:
+                    refused[index] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit, args=(i,))
+                       for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert queue.depth == 5
+        assert queue.shed == sum(refused) == n_threads * per_thread - 5
 
     def test_take_batch_caps_at_max_batch(self):
         queue = ModelQueue("m", maxsize=8)
