@@ -25,7 +25,11 @@
 #   4. `repro infer --parity` on a freshly built bench artifact: every
 #      teacher-forced segment of the arena executor within its LSB
 #      budget of the fake-quant reference, through the CLI
-#   5. the repository benchmark's helper tests and a one-second run of
+#   5. the examples at BOMP_SCALE=unit with a fresh experiment cache, so
+#      a change to the search classes or the public API cannot break them
+#      unnoticed; ptq_vs_qaft is left out: it takes ~50 s and runs only
+#      BOMPNAS.run paths the tier-1 suite already covers
+#   6. the repository benchmark's helper tests and a one-second run of
 #      every workload (`perfbench/run.py` exits non-zero when a workload
 #      cannot import what it needs from src/ or a correctness check
 #      fails); performance itself is judged by full-length runs of the
@@ -66,6 +70,13 @@ python -c "import sys; from pathlib import Path; \
 from repro.serve.bench import make_bench_artifact; \
 make_bench_artifact(Path(sys.argv[1]))" "$TMP_RUN/bench.bomp"
 python -m repro infer "$TMP_RUN/bench.bomp" --parity --limit 64
+
+for example in quickstart custom_search compare_baselines deploy_and_infer \
+        cifar10_figure2 serve_client; do
+    echo "== example: $example =="
+    BOMP_SCALE=unit BOMP_CACHE_DIR="$TMP_RUN/cache" \
+        python "examples/$example.py" >/dev/null
+done
 
 echo "== perfbench: helper tests =="
 python3 -m pytest perfbench

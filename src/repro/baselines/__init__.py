@@ -1,6 +1,6 @@
 """Comparator implementations and literature reference numbers."""
 
-from .evolution import AgingEvolution, evolved_trials
+from .evolution import AgingEvolution, EvolutionSearch
 from .jasq import JASQSearch
 from .micronas import MicroNASSearch, constrained_score
 from .reference import (TABLE2_BOMP_PAPER, TABLE2_REFERENCES,
@@ -9,7 +9,7 @@ from .reference import (TABLE2_BOMP_PAPER, TABLE2_REFERENCES,
 from .sequential import SequentialSearch
 
 __all__ = [
-    "AgingEvolution", "evolved_trials", "JASQSearch", "MicroNASSearch",
+    "AgingEvolution", "EvolutionSearch", "JASQSearch", "MicroNASSearch",
     "constrained_score",
     "SequentialSearch",
     "SotaEntry", "SearchCostEntry", "table2_rows",

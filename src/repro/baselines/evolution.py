@@ -1,4 +1,4 @@
-"""Aging-evolution search core, shared by the JASQ and μNAS baselines.
+"""Aging evolution and the search that runs it, shared by JASQ and μNAS.
 
 Regularized (aging) evolution (Real et al., 2019): keep a FIFO population;
 each cycle, tournament-sample a parent from the population, mutate it into
@@ -6,26 +6,32 @@ a child, evaluate the child, append it and evict the oldest member.  This
 is the search strategy the paper's main comparators use, and its tendency
 to get stuck in local minima (Section II, on JASQ) is exactly what BO is
 introduced to fix.
+
+:class:`EvolutionSearch` is BOMP-NAS with this strategy in place of BO:
+the trial loop, candidate evaluation, final training and tracing are
+:meth:`BOMPNAS.run`'s own, so the comparison differs only in the search
+strategy, as the paper's does.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import (TYPE_CHECKING, Callable, Deque, Iterator, List, Optional,
-                    Tuple)
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
+from ..nas.results import SearchResult
+from ..nas.search import BOMPNAS
 from ..space.genome import MixedPrecisionGenome
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..nas.search import BOMPNAS
-    from ..nas.trial import TrialResult
 
 SampleFn = Callable[[np.random.Generator], MixedPrecisionGenome]
 MutateFn = Callable[[MixedPrecisionGenome, np.random.Generator],
                     MixedPrecisionGenome]
-EvaluateFn = Callable[[MixedPrecisionGenome], float]
+
+#: population capacity and tournament size of the evolutionary baselines;
+#: a short trial budget caps the population at half the trials
+POPULATION_SIZE = 16
+TOURNAMENT_SIZE = 4
 
 
 class AgingEvolution:
@@ -98,68 +104,23 @@ class AgingEvolution:
             raise RuntimeError("no evaluations recorded")
         return max(self._history, key=lambda entry: entry[1])
 
-    def run(self, evaluate: EvaluateFn, n_evaluations: int,
-            batch_size: int = 1, map_fn: Optional[Callable] = None
-            ) -> List[Tuple[MixedPrecisionGenome, float]]:
-        """Drive the full loop for ``n_evaluations`` evaluations.
 
-        With ``batch_size > 1``, whole batches are proposed up front and
-        evaluated through ``map_fn`` (builtin ``map`` by default — pass a
-        pool's ``map`` for parallel evaluation); results are told back in
-        proposal order, so the trajectory is independent of the mapper.
-        """
-        if n_evaluations <= 0:
-            raise ValueError("n_evaluations must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        mapper = map_fn if map_fn is not None else map
-        done = 0
-        while done < n_evaluations:
-            genomes = self.ask_batch(min(batch_size, n_evaluations - done))
-            for genome, score in zip(genomes, list(mapper(evaluate,
-                                                          genomes))):
-                self.tell(genome, score)
-            done += len(genomes)
-        return self.history
+class EvolutionSearch(BOMPNAS):
+    """BOMP-NAS with aging evolution as its search strategy.
 
-
-def evolved_trials(evaluator: "BOMPNAS", evolution: AgingEvolution,
-                   total: int, workers: int = 1,
-                   batch_size: Optional[int] = None
-                   ) -> Iterator["TrialResult"]:
-    """Drive an evolutionary search through a parallel trial engine.
-
-    Proposes candidates in batches from ``evolution`` and evaluates each
-    batch with the shared BOMP-NAS trial pipeline — on a process pool when
-    ``workers > 1``.  Yields :class:`TrialResult`\\ s in proposal order;
-    the *caller* tells the evolution its scores between yields (JASQ tells
-    the Eq. 1 score, μNAS a constrained one), and the next batch is only
-    proposed after every result of the previous one was consumed.
-    Deterministic per-trial seeding makes the yielded trials identical for
-    any ``workers`` value.
+    Checkpointing stays BO-only: :meth:`run` takes no checkpoint or
+    resume argument.
     """
-    from ..parallel.engine import (DEFAULT_TRIAL_BATCH, TrialEngine,
-                                   TrialSpec)
-    from ..parallel.seeding import trial_seed
-    config = evaluator.config
-    per_candidate = config.policies_per_trial
-    proposal_batch = max(1, batch_size if batch_size is not None
-                         else DEFAULT_TRIAL_BATCH)
-    produced = 0
-    engine = TrialEngine(config, evaluator.dataset, workers=workers,
-                         cost_model=evaluator.cost_model,
-                         space=evaluator.space, evaluator=evaluator)
-    with engine:
-        while produced < total:
-            base = produced
-            remaining = -(-(total - base) // per_candidate)
-            genomes = evolution.ask_batch(min(proposal_batch, remaining))
-            specs = [
-                TrialSpec(index=base + j * per_candidate, genome=genome,
-                          seed=trial_seed(config.seed,
-                                          base + j * per_candidate))
-                for j, genome in enumerate(genomes)]
-            for batch in engine.evaluate(specs):
-                for result in batch:
-                    yield result
-                    produced += 1
+
+    def make_optimizer(self) -> AgingEvolution:
+        population = min(POPULATION_SIZE,
+                         max(2, self.config.scale.trials // 2))
+        return AgingEvolution(
+            self.rng, sample_fn=self._sample_genome,
+            mutate_fn=self._mutate_genome, population_size=population,
+            tournament_size=min(TOURNAMENT_SIZE, population))
+
+    def run(self, final_training: bool = True, workers: int = 1,
+            batch_size: Optional[int] = None) -> SearchResult:
+        return super().run(final_training=final_training, workers=workers,
+                           batch_size=batch_size)

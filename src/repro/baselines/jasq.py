@@ -19,20 +19,13 @@ The key structural differences from BOMP-NAS, per Section II:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
-
-import numpy as np
 
 from ..data.datasets import Dataset
 from ..nas.config import SearchConfig, get_mode
-from ..nas.cost import CostModel
-from ..nas.results import SearchResult
-from ..nas.search import BOMPNAS, ProgressFn
-from ..nas.trial import TrialResult
-from .evolution import AgingEvolution, evolved_trials
+from .evolution import EvolutionSearch
 
 
-class JASQSearch:
+class JASQSearch(EvolutionSearch):
     """Evolutionary joint arch+quant search on the BOMP-NAS search space.
 
     Reuses the BOMP-NAS candidate evaluation pipeline (early training,
@@ -40,40 +33,6 @@ class JASQSearch:
     search strategy — exactly the comparison the paper makes.
     """
 
-    def __init__(self, config: SearchConfig, dataset: Dataset,
-                 population_size: int = 16, tournament_size: int = 4,
-                 cost_model: Optional[CostModel] = None,
-                 progress: Optional[ProgressFn] = None) -> None:
+    def __init__(self, config: SearchConfig, dataset: Dataset) -> None:
         # JASQ quantizes in the loop but never fine-tunes quantization-aware
-        self.config = replace(config, mode=get_mode("mp_ptq"))
-        self._evaluator = BOMPNAS(self.config, dataset,
-                                  cost_model=cost_model, progress=progress)
-        self.population_size = population_size
-        self.tournament_size = tournament_size
-
-    def run(self, final_training: bool = True, workers: int = 1,
-            batch_size: Optional[int] = None) -> SearchResult:
-        evaluator = self._evaluator
-        population_size = min(self.population_size,
-                              max(2, self.config.scale.trials // 2))
-        evolution = AgingEvolution(
-            evaluator.rng,
-            sample_fn=evaluator._sample_genome,
-            mutate_fn=evaluator._mutate_genome,
-            population_size=population_size,
-            tournament_size=min(self.tournament_size, population_size))
-        trials: List[TrialResult] = []
-        for result in evolved_trials(evaluator, evolution,
-                                     self.config.scale.trials,
-                                     workers=workers,
-                                     batch_size=batch_size):
-            evolution.tell(result.genome, result.score)
-            trials.append(result)
-            if evaluator.progress is not None:
-                evaluator.progress(result)
-        result = SearchResult(config=self.config, trials=trials)
-        if final_training:
-            from ..nas.final_training import train_final_models
-            result.final_models = train_final_models(
-                evaluator, result.pareto_trials())
-        return result
+        super().__init__(replace(config, mode=get_mode("mp_ptq")), dataset)

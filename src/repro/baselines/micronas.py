@@ -12,17 +12,13 @@ size budget (violations are penalized proportionally to the overshoot).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from ..data.datasets import Dataset
 from ..nas.config import SearchConfig, get_mode
-from ..nas.cost import CostModel
 from ..nas.results import SearchResult
-from ..nas.search import BOMPNAS, ProgressFn
 from ..nas.trial import TrialResult
-from .evolution import AgingEvolution, evolved_trials
+from .evolution import EvolutionSearch
 
 
 def constrained_score(accuracy: float, size_kb: float,
@@ -37,52 +33,25 @@ def constrained_score(accuracy: float, size_kb: float,
     return accuracy - penalty_per_kb * overshoot
 
 
-class MicroNASSearch:
+class MicroNASSearch(EvolutionSearch):
     """Size-constrained aging evolution with homogeneous 8-bit PTQ."""
 
     def __init__(self, config: SearchConfig, dataset: Dataset,
-                 size_budget_kb: float = 16.0,
-                 population_size: int = 16, tournament_size: int = 4,
-                 cost_model: Optional[CostModel] = None,
-                 progress: Optional[ProgressFn] = None) -> None:
+                 size_budget_kb: float = 16.0) -> None:
         if size_budget_kb <= 0:
             raise ValueError("size_budget_kb must be positive")
-        self.config = replace(config, mode=get_mode("fixed8_ptq"))
+        super().__init__(replace(config, mode=get_mode("fixed8_ptq")),
+                         dataset)
         self.size_budget_kb = size_budget_kb
-        self._evaluator = BOMPNAS(self.config, dataset,
-                                  cost_model=cost_model, progress=progress)
-        self.population_size = population_size
-        self.tournament_size = tournament_size
 
-    def run(self, final_training: bool = True, workers: int = 1,
-            batch_size: Optional[int] = None) -> SearchResult:
-        evaluator = self._evaluator
-        population_size = min(self.population_size,
-                              max(2, self.config.scale.trials // 2))
-        evolution = AgingEvolution(
-            evaluator.rng,
-            sample_fn=evaluator._sample_genome,
-            mutate_fn=evaluator._mutate_genome,
-            population_size=population_size,
-            tournament_size=min(self.tournament_size, population_size))
-        trials: List[TrialResult] = []
-        for result in evolved_trials(evaluator, evolution,
-                                     self.config.scale.trials,
-                                     workers=workers,
-                                     batch_size=batch_size):
-            score = constrained_score(result.accuracy, result.size_kb,
-                                      self.size_budget_kb)
-            # the constrained score drives evolution; the recorded
-            # trial keeps the Eq. 1 score for cross-method comparison
-            evolution.tell(result.genome, score)
-            trials.append(result)
-            if evaluator.progress is not None:
-                evaluator.progress(result)
-        result = SearchResult(config=self.config, trials=trials)
-        if final_training:
-            from ..nas.final_training import train_final_models
-            within = [t for t in result.pareto_trials()
-                      if t.size_kb <= self.size_budget_kb]
-            chosen = within or result.pareto_trials()[:1]
-            result.final_models = train_final_models(evaluator, chosen)
-        return result
+    def objective(self, trial: TrialResult) -> float:
+        # the constrained score drives evolution; the recorded trial keeps
+        # the Eq. 1 score for cross-method comparison
+        return constrained_score(trial.accuracy, trial.size_kb,
+                                 self.size_budget_kb)
+
+    def final_candidates(self, result: SearchResult) -> List[TrialResult]:
+        """The within-budget Pareto trials, else the first Pareto trial."""
+        pareto = result.pareto_trials()
+        within = [t for t in pareto if t.size_kb <= self.size_budget_kb]
+        return within or pareto[:1]

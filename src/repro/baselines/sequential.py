@@ -21,14 +21,11 @@ import numpy as np
 from ..bo.scalarization import scalarize
 from ..data.datasets import Dataset
 from ..nas.config import SearchConfig, get_mode
-from ..nas.cost import CostModel
 from ..nas.results import SearchResult
 from ..nas.search import BOMPNAS
-from ..nn.losses import evaluate_classifier
 from ..nn.serialization import load_state_dict, state_dict
-from ..quant.apply import apply_policy, calibrate, remove_quantizers
+from ..quant.apply import remove_quantizers
 from ..quant.policy import QuantizationPolicy
-from ..quant.size import model_size_bits
 from ..space.genome import MixedPrecisionGenome
 
 
@@ -42,15 +39,12 @@ class SequentialSearch:
     """
 
     def __init__(self, config: SearchConfig, dataset: Dataset,
-                 policy_trials: int = 20,
-                 cost_model: Optional[CostModel] = None) -> None:
+                 policy_trials: int = 20) -> None:
         if policy_trials < 1:
             raise ValueError("policy_trials must be >= 1")
         self.config = replace(config, mode=get_mode("fp_nas"))
-        self.dataset = dataset
         self.policy_trials = policy_trials
-        self._evaluator = BOMPNAS(self.config, dataset,
-                                  cost_model=cost_model)
+        self._evaluator = BOMPNAS(self.config, dataset)
 
     def run(self) -> Tuple[SearchResult,
                            List[Tuple[QuantizationPolicy, float, float]]]:
@@ -67,7 +61,11 @@ class SequentialSearch:
 
     def _policy_search(self, genome: MixedPrecisionGenome
                        ) -> List[Tuple[QuantizationPolicy, float, float]]:
-        """Stage 2: search quantization policies for a fixed architecture."""
+        """Stage 2: search quantization policies for a fixed architecture.
+
+        Each policy is applied, calibrated and scored by
+        :meth:`BOMPNAS.quantize_and_evaluate`, as in the search loop.
+        """
         evaluator = self._evaluator
         space = evaluator.space
         rng = evaluator.rng
@@ -84,12 +82,7 @@ class SequentialSearch:
                 policy = space.random_policy(rng)
             remove_quantizers(model)
             load_state_dict(model, snapshot)
-            apply_policy(model, policy)
-            calibrate(model, self.dataset.x_train,
-                      batch_size=self.config.scale.batch_size)
-            _, accuracy = evaluate_classifier(
-                model, self.dataset.x_test, self.dataset.y_test)
-            size = model_size_bits(model)
+            accuracy, size = evaluator.quantize_and_evaluate(model, policy)
             score = scalarize(accuracy, size, self.config.scalarization)
             results.append((policy, accuracy, size / (8 * 1024)))
             scored.append(score)

@@ -35,12 +35,13 @@ class ScalarizationConfig:
     ref_macs: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.ref_accuracy <= 0:
-            raise ValueError("ref_accuracy must be positive")
-        if self.ref_model_size <= 0:
-            raise ValueError("ref_model_size must be positive")
-        if self.ref_macs is not None and self.ref_macs <= 0:
-            raise ValueError("ref_macs must be positive when set")
+        # written so that NaN fails too
+        if not 0 < self.ref_accuracy < np.inf:
+            raise ValueError("ref_accuracy must be finite and positive")
+        if not 0 < self.ref_model_size < np.inf:
+            raise ValueError("ref_model_size must be finite and positive")
+        if self.ref_macs is not None and not 0 < self.ref_macs < np.inf:
+            raise ValueError("ref_macs must be finite and positive when set")
 
 
 def scalarize(accuracy: float, model_size_bits: float,

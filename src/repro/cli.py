@@ -24,10 +24,10 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .bo.scalarization import ScalarizationConfig
 from .data.synthetic import load_dataset
@@ -36,6 +36,7 @@ from .nas.config import (SCALE_PRESETS, SEARCH_MODES, SearchConfig,
                          get_mode, get_scale)
 from .nas.results import SearchResult
 from .nas.search import BOMPNAS
+from .obs import profile
 from .obs.console import ConsoleReporter
 from .obs.trace import EVENTS_FILENAME, RunTracer, events_path
 from .space.space import SearchSpace
@@ -44,6 +45,36 @@ from .space.space import SearchSpace
 #: interpreted as a traced run directory / event log path)
 PAPER_ARTIFACTS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
                    "table1", "table2", "table3", "table4")
+
+
+def _checked(kind: type, accept: Callable[[float], bool], expected: str):
+    """An argparse ``type=`` parsing ``kind``, finite and ``accept``-ed.
+
+    A refused value makes argparse exit 2 with one line naming the flag,
+    before any file or directory is created.
+    """
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+non_negative_int = _checked(int, lambda v: v >= 0,
+                            "a non-negative integer")
+port_number = _checked(int, lambda v: 0 <= v <= 65535,
+                       "a port in 0-65535")
+positive_float = _checked(float, lambda v: v > 0,
+                          "a finite positive number")
+non_negative_float = _checked(float, lambda v: v >= 0,
+                              "a finite non-negative number")
+finite_float = _checked(float, lambda v: True, "a finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,20 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="protocol scale (default: BOMP_SCALE env or "
                              "'smoke')")
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--ref-acc", type=float, default=0.8,
+    search.add_argument("--seed", type=non_negative_int, default=0)
+    search.add_argument("--ref-acc", type=positive_float, default=0.8,
                         help="Eq. (1) accuracy reference")
-    search.add_argument("--ref-size", type=float, default=None,
+    search.add_argument("--ref-size", type=positive_float, default=None,
                         help="Eq. (1) size reference (default: paper value "
                              "for the dataset)")
-    search.add_argument("--policies-per-trial", type=int, default=1,
+    search.add_argument("--policies-per-trial", type=positive_int,
+                        default=1,
                         help="quantization policies evaluated per trained "
                              "network (paper future-work extension)")
-    search.add_argument("--workers", type=int, default=None,
+    search.add_argument("--workers", type=positive_int, default=None,
                         help="process-pool size for trial evaluation "
                              "(default: CPU count, capped at 8; results "
                              "are identical for any value)")
-    search.add_argument("--trial-batch", type=int, default=None,
+    search.add_argument("--trial-batch", type=positive_int, default=None,
                         help="candidates proposed per constant-liar BO "
                              "batch (default 4; part of the search "
                              "schedule, unlike --workers)")
@@ -90,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "are restored from the checkpoint and the "
                              "resumed run is bit-identical to an "
                              "uninterrupted one")
-    search.add_argument("--trial-timeout", type=float, default=None,
+    search.add_argument("--trial-timeout", type=finite_float, default=None,
                         help="per-trial wall-clock timeout in seconds for "
                              "pooled evaluation (<= 0 disables; default "
                              "3600)")
@@ -120,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "events.jsonl" % ", ".join(PAPER_ARTIFACTS))
     report.add_argument("--scale", choices=sorted(SCALE_PRESETS),
                         default=None)
-    report.add_argument("--seed", type=int, default=7)
-    report.add_argument("--workers", type=int, default=None,
+    report.add_argument("--seed", type=non_negative_int, default=7)
+    report.add_argument("--workers", type=positive_int, default=None,
                         help="process-pool size for the underlying "
                              "searches (default: BOMP_WORKERS env or 1; "
                              "cached results are reused either way)")
@@ -160,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         "infer", help="run the integer-only engine on an exported "
                       "artifact")
     infer.add_argument("artifact", help="path to a .bomp artifact")
-    infer.add_argument("--batch-size", type=int, default=256)
-    infer.add_argument("--limit", type=int, default=None,
+    infer.add_argument("--batch-size", type=positive_int, default=256)
+    infer.add_argument("--limit", type=positive_int, default=None,
                        help="evaluate at most N test images")
     infer.add_argument("--parity", action="store_true",
                        help="also run the parity harness against the "
@@ -177,22 +209,25 @@ def build_parser() -> argparse.ArgumentParser:
                             "can be loaded later via POST "
                             "/v1/models/<name>/load")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8700,
+    serve.add_argument("--port", type=port_number, default=8700,
                        help="listen port (0 = ephemeral)")
-    serve.add_argument("--max-batch", type=int, default=8,
+    serve.add_argument("--max-batch", type=positive_int, default=8,
                        help="arena capacity: most images per coalesced "
                             "batch")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
+    serve.add_argument("--max-wait-ms", type=non_negative_float,
+                       default=5.0,
                        help="how long a batch waits to fill before "
                             "running short")
-    serve.add_argument("--queue-depth", type=int, default=64,
+    serve.add_argument("--queue-depth", type=positive_int, default=64,
                        help="admitted-but-unbatched bound per model; "
                             "beyond it requests are shed with 429")
-    serve.add_argument("--workers-per-model", type=int, default=1,
+    serve.add_argument("--workers-per-model", type=positive_int,
+                       default=1,
                        help="batch workers (private arenas) per model")
-    serve.add_argument("--timeout-ms", type=float, default=30_000.0,
+    serve.add_argument("--timeout-ms", type=positive_float,
+                       default=30_000.0,
                        help="default server-side request deadline")
-    serve.add_argument("--slo-p99-ms", type=float, default=None,
+    serve.add_argument("--slo-p99-ms", type=positive_float, default=None,
                        help="p99 latency target judged by repro report")
     serve.add_argument("--run-dir", default=None,
                        help="stream the event log (events.jsonl) here "
@@ -260,26 +295,21 @@ def cmd_search(args: argparse.Namespace) -> int:
         trace_dir = args.trace_dir or default_trace_dir(config)
         tracer = RunTracer(trace_dir)
         reporter.info(f"tracing to {tracer.path}")
-    from .obs.profile import PROFILE_ENV
-    saved_profile_env = os.environ.get(PROFILE_ENV)
+    # the run uses an installed profiler, hands its mode to pool workers
+    # and flushes it into the event log
+    profiler = profile.current()
     if args.profile:
-        # the search loop reads BOMP_PROFILE when tracing is on, and the
-        # mode rides to pool workers through TrialSpec.profile
-        os.environ[PROFILE_ENV] = args.profile
+        profiler = profile.KernelProfiler(args.profile)
         reporter.info(f"profiling ({args.profile} mode)")
     try:
-        result = nas.run(final_training=not args.no_final_training,
-                         workers=workers, batch_size=args.trial_batch,
-                         tracer=tracer,
-                         checkpoint_dir=args.checkpoint_dir,
-                         resume_from=args.resume,
-                         retry_policy=retry_policy, reporter=reporter)
+        with profile.use_profiler(profiler):
+            result = nas.run(final_training=not args.no_final_training,
+                             workers=workers, batch_size=args.trial_batch,
+                             tracer=tracer,
+                             checkpoint_dir=args.checkpoint_dir,
+                             resume_from=args.resume,
+                             retry_policy=retry_policy, reporter=reporter)
     finally:
-        if args.profile:
-            if saved_profile_env is None:
-                os.environ.pop(PROFILE_ENV, None)
-            else:
-                os.environ[PROFILE_ENV] = saved_profile_env
         if tracer is not None:
             tracer.close()
     reporter.emit(result.summary())

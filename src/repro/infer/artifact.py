@@ -350,7 +350,10 @@ def _load_run(source: Union[str, Path]):
         else:
             raise ArtifactError(
                 f"{path}: no result.json or checkpoint.json found")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc
     if "optimizer" in payload:          # a resilience checkpoint
         from ..data.synthetic import make_synthetic_dataset
         from ..resilience.checkpoint import SearchCheckpoint

@@ -66,6 +66,13 @@ ProgressFn = Callable[[TrialResult], None]
 class BOMPNAS:
     """Bayesian Optimization Mixed-Precision NAS.
 
+    A comparator search is a subclass that swaps the strategy through
+    three hooks, read only in the parent process: :meth:`make_optimizer`
+    (anything with ``ask_batch`` and ``tell``), :meth:`objective` and
+    :meth:`final_candidates`.  Pool workers build a plain ``BOMPNAS``
+    from the config, so no subclass may override
+    :meth:`evaluate_candidate`.
+
     Args:
         config: run recipe (mode, scale, scalarization, seed).
         dataset: pre-generated dataset; its ``num_classes`` must match the
@@ -123,6 +130,14 @@ class BOMPNAS:
             n_initial_random=scale.n_initial_random,
             sample_fn=self._sample_genome,
             mutate_fn=self._mutate_genome)
+
+    def objective(self, trial: TrialResult) -> float:
+        """The score told to the search strategy, live and on resume."""
+        return trial.score
+
+    def final_candidates(self, result: SearchResult) -> List[TrialResult]:
+        """The trials step (7) finally trains."""
+        return result.pareto_trials()
 
     def make_training_optimizer(self, model: Sequential,
                                 epochs: int) -> Optimizer:
@@ -312,7 +327,7 @@ class BOMPNAS:
         with restoring_from(resume_from):
             trials = [TrialResult.from_dict(t) for t in checkpoint.trials]
             for trial in trials:
-                optimizer.tell(trial.genome, trial.score)
+                optimizer.tell(trial.genome, self.objective(trial))
             optimizer.restore_state(checkpoint.optimizer)
         return trials, checkpoint.batch_index, checkpoint.batch_size
 
@@ -423,7 +438,8 @@ class BOMPNAS:
                                 profile=profile.current_mode()))
                         for batch in engine.evaluate(specs):
                             for result in batch:
-                                optimizer.tell(result.genome, result.score)
+                                optimizer.tell(result.genome,
+                                               self.objective(result))
                                 trials.append(result)
                                 if self.progress is not None:
                                     self.progress(result)
@@ -436,7 +452,7 @@ class BOMPNAS:
                 if final_training:
                     with recorder.span("final_training", kind="phase"):
                         result.final_models = train_final_models(
-                            self, result.pareto_trials())
+                            self, self.final_candidates(result))
             # run-level profile stats (final training, out-of-trial work);
             # per-trial stats were flushed by the engine with trial indices
             active_profiler = profile.current()

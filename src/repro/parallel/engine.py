@@ -109,12 +109,15 @@ class RetryPolicy:
     max_pool_respawns: int = 2
 
     def __post_init__(self) -> None:
-        if self.trial_timeout_s is not None and self.trial_timeout_s <= 0:
-            raise ValueError("trial_timeout_s must be positive or None")
+        # written so that NaN fails too
+        if self.trial_timeout_s is not None and \
+                not 0 < self.trial_timeout_s < math.inf:
+            raise ValueError(
+                "trial_timeout_s must be finite and positive, or None")
         if self.max_retries < 0 or self.max_pool_respawns < 0:
             raise ValueError("retry/respawn budgets must be non-negative")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError("backoff_s must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,49 @@ from repro.baselines import (AgingEvolution, JASQSearch, MicroNASSearch,
                              SequentialSearch, constrained_score)
 from repro.baselines.reference import (TABLE2_REFERENCES, TABLE3_REFERENCES,
                                        TABLE4_PAPER, table2_rows)
-from repro.nas import SearchConfig
+from repro.nas import SearchConfig, get_mode
+from repro.obs.trace import TraceRecorder, use_recorder
+
+#: a μNAS size budget some but not all unit-scale Pareto trials fit
+BUDGET_KB = 40.0
+
+
+class CapturingMicroNAS(MicroNASSearch):
+    """μNAS that keeps the strategy it hands the trial loop."""
+
+    def make_optimizer(self):
+        self.strategy = super().make_optimizer()
+        return self.strategy
+
+
+def trial_rows(result):
+    return [(t.index, t.genome.as_key(), t.score, t.accuracy,
+             t.fp_accuracy, t.size_bits, t.macs) for t in result.trials]
+
+
+def final_rows(result):
+    return [(m.trial_index, m.accuracy) for m in result.final_models]
+
+
+@pytest.fixture(scope="module")
+def traced_runs(unit_scale, tiny_dataset):
+    """JASQ and μNAS, with final training, traced at workers 1 and 2."""
+    config = SearchConfig(dataset="cifar10", mode=get_mode("mp_qaft"),
+                          scale=unit_scale, seed=0)
+    makers = {"jasq": lambda: JASQSearch(config, tiny_dataset),
+              "micronas": lambda: CapturingMicroNAS(
+                  config, tiny_dataset, size_budget_kb=BUDGET_KB)}
+    runs = {}
+    for name, make in makers.items():
+        for workers in (1, 2):
+            search = make()
+            recorder = TraceRecorder()
+            with use_recorder(recorder):
+                result = search.run(final_training=True, workers=workers)
+            spans = [e["trial"] for e in recorder.events
+                     if e["type"] == "span" and e["kind"] == "trial"]
+            runs[name, workers] = (search, result, spans)
+    return runs
 
 
 class TestAgingEvolution:
@@ -45,7 +87,10 @@ class TestAgingEvolution:
         """Evolution should push mean bitwidth up when score rewards it."""
         evo = self.make(c10_space, seed=3, population=8)
         objective = lambda g: float(g.policy.mean_bits())
-        history = evo.run(objective, n_evaluations=40)
+        for _ in range(40):
+            genome = evo.ask()
+            evo.tell(genome, objective(genome))
+        history = evo.history
         first_scores = [s for _, s in history[:8]]
         last_scores = [s for _, s in history[-8:]]
         assert np.mean(last_scores) > np.mean(first_scores)
@@ -67,8 +112,6 @@ class TestAgingEvolution:
             evo.best()
         with pytest.raises(ValueError):
             evo.tell(c10_space.random_genome(evo.rng), float("inf"))
-        with pytest.raises(ValueError):
-            evo.run(lambda g: 0.0, n_evaluations=0)
 
 
 class TestJASQ:
@@ -87,6 +130,13 @@ class TestJASQ:
         result = JASQSearch(unit_config, tiny_dataset).run(
             final_training=True)
         assert result.final_models
+
+    def test_checkpoints_stay_bo_only(self, unit_config, tiny_dataset,
+                                      tmp_path):
+        with pytest.raises(TypeError):
+            JASQSearch(unit_config, tiny_dataset).run(
+                final_training=False, checkpoint_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMicroNAS:
@@ -127,6 +177,53 @@ class TestSequential:
     def test_policy_trials_validation(self, unit_config, tiny_dataset):
         with pytest.raises(ValueError):
             SequentialSearch(unit_config, tiny_dataset, policy_trials=0)
+
+
+@pytest.mark.parametrize("name", ["jasq", "micronas"])
+class TestOneLoop:
+    """The baselines run on BOMPNAS.run, like BOMP-NAS itself."""
+
+    def test_bit_identical_across_workers(self, traced_runs, name):
+        _, serial, _ = traced_runs[name, 1]
+        _, pooled, _ = traced_runs[name, 2]
+        assert trial_rows(pooled) == trial_rows(serial)
+        assert serial.final_models
+        assert final_rows(pooled) == final_rows(serial)
+
+    def test_same_trial_spans_across_workers(self, traced_runs, name):
+        _, result, serial_spans = traced_runs[name, 1]
+        _, _, pooled_spans = traced_runs[name, 2]
+        assert serial_spans == [t.index for t in result.trials]
+        assert pooled_spans == serial_spans
+
+
+class TestMicroNASHooks:
+    def test_strategy_told_constrained_score(self, traced_runs):
+        search, result, _ = traced_runs["micronas", 1]
+        told = [score for _, score in search.strategy.history]
+        assert told == [constrained_score(t.accuracy, t.size_kb, BUDGET_KB)
+                        for t in result.trials]
+        assert told != [t.score for t in result.trials]
+
+    def test_finalizes_within_budget_pareto_trials(self, traced_runs):
+        search, result, _ = traced_runs["micronas", 1]
+        within = [t.index for t in result.pareto_trials()
+                  if t.size_kb <= BUDGET_KB]
+        assert within
+        assert [m.trial_index for m in result.final_models] == within
+        # JASQ's unit-scale front straddles the budget
+        _, straddling, _ = traced_runs["jasq", 1]
+        front = straddling.pareto_trials()
+        within = [t for t in front if t.size_kb <= BUDGET_KB]
+        assert within and len(within) < len(front)
+        assert search.final_candidates(straddling) == within
+
+    def test_finalizes_first_pareto_trial_when_none_fits(self, unit_config,
+                                                         tiny_dataset):
+        result = MicroNASSearch(unit_config, tiny_dataset,
+                                size_budget_kb=0.01).run(final_training=True)
+        assert [m.trial_index for m in result.final_models] == \
+            [result.pareto_trials()[0].index]
 
 
 class TestReferences:

@@ -107,6 +107,13 @@ class TestScalarization:
         with pytest.raises(ValueError):
             ScalarizationConfig(ref_model_size=-1.0)
 
+    @pytest.mark.parametrize("field", ["ref_accuracy", "ref_model_size",
+                                       "ref_macs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_references_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScalarizationConfig(**{field: value})
+
 
 class TestEqualScoreContour:
     def test_inverts_scalarize(self):

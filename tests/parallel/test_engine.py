@@ -5,8 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.parallel import (TrialEngine, TrialEvaluationError, TrialOutcome,
-                            TrialSpec, trial_seed)
+from repro.parallel import (RetryPolicy, TrialEngine, TrialEvaluationError,
+                            TrialOutcome, TrialSpec, trial_seed)
 
 
 @pytest.fixture
@@ -30,6 +30,16 @@ class TestWorkerProtocol:
         # the whole point of the protocol: per-task payloads must never
         # carry dataset arrays or model weights
         assert len(pickle.dumps(spec)) < 4096
+
+
+class TestRetryPolicyValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("trial_timeout_s", float("nan")), ("trial_timeout_s", float("inf")),
+        ("trial_timeout_s", 0.0), ("backoff_s", float("nan")),
+        ("backoff_s", float("inf")), ("backoff_s", -1.0)])
+    def test_non_finite_or_out_of_range_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
 
 
 class TestEngineSerial:
