@@ -34,7 +34,7 @@ from .data.synthetic import load_dataset
 from .experiments.runner import REF_SIZE, ExperimentContext
 from .nas.config import (SCALE_PRESETS, SEARCH_MODES, SearchConfig,
                          get_mode, get_scale)
-from .nas.results import SearchResult
+from .nas.results import ResultError, SearchResult
 from .nas.search import BOMPNAS
 from .obs import profile
 from .obs.console import ConsoleReporter
@@ -364,7 +364,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     reporter = ConsoleReporter()
-    result = SearchResult.load(args.result)
+    try:
+        result = SearchResult.load(args.result)
+    except ResultError as exc:
+        raise SystemExit(f"inspect failed: {exc}")
     reporter.emit(result.summary())
     reporter.emit("\ncandidate Pareto front (accuracy, size kB):")
     for accuracy, size_kb in result.candidate_front():

@@ -17,14 +17,13 @@ from .artifact import (ArtifactCache, ArtifactError, CachedArtifact,
                        load_artifact_cached, restore_bn_stats, save_artifact)
 from .compile import CompileError, Grid, Stage, compile_model
 from .engine import ArenaExecutor, Program
-from .kernels import (avg_pool_int, conv2d_int, dense_int,
-                      depthwise_conv2d_int, global_avg_pool_int,
-                      max_pool_int)
+from .kernels import (conv2d_int, dense_int, depthwise_conv2d_int,
+                      global_avg_pool_int)
 from .parity import ParityReport, StageParity, capture_reference, check_parity
 from .plan import (ArenaPlan, Interval, Slot, liveness_intervals, peak_liveness,
                    plan_arena)
-from .report import (DeploymentReport, LayerCost, activation_liveness,
-                     deployment_report, format_report)
+from .report import (DeploymentReport, LayerCost, deployment_report,
+                     format_report)
 from .requant import (RequantPlan, quantize_multiplier, quantize_multipliers,
                       requantize, requantize_into, rounding_doubling_high_mul,
                       rounding_right_shift)
@@ -37,13 +36,12 @@ __all__ = [
     "restore_bn_stats", "save_artifact",
     "CompileError", "Grid", "Stage", "compile_model",
     "ArenaExecutor", "Program",
-    "avg_pool_int", "conv2d_int", "dense_int", "depthwise_conv2d_int",
-    "global_avg_pool_int", "max_pool_int",
+    "conv2d_int", "dense_int", "depthwise_conv2d_int",
+    "global_avg_pool_int",
     "ParityReport", "StageParity", "capture_reference", "check_parity",
     "ArenaPlan", "Interval", "Slot", "liveness_intervals", "peak_liveness",
     "plan_arena",
-    "DeploymentReport", "LayerCost", "activation_liveness",
-    "deployment_report", "format_report",
+    "DeploymentReport", "LayerCost", "deployment_report", "format_report",
     "RequantPlan", "quantize_multiplier", "quantize_multipliers",
     "requantize", "requantize_into", "rounding_doubling_high_mul",
     "rounding_right_shift",

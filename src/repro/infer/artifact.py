@@ -339,7 +339,7 @@ def _load_run(source: Union[str, Path]):
     ``source`` may be a ``SearchResult`` JSON, a ``checkpoint.json``, or a
     run directory containing either (``result.json`` preferred).
     """
-    from ..nas.results import SearchResult, config_from_dict
+    from ..nas.results import ResultError, SearchResult, config_from_dict
     from ..nas.trial import TrialResult
     path = Path(source)
     if path.is_dir():
@@ -354,7 +354,8 @@ def _load_run(source: Union[str, Path]):
         payload = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
-    if "optimizer" in payload:          # a resilience checkpoint
+    if isinstance(payload, dict) and "optimizer" in payload:
+        # a resilience checkpoint
         from ..data.synthetic import make_synthetic_dataset
         from ..resilience.checkpoint import SearchCheckpoint
         checkpoint = SearchCheckpoint.from_dict(payload)
@@ -366,7 +367,10 @@ def _load_run(source: Union[str, Path]):
         trials = [TrialResult.from_dict(t) for t in checkpoint.trials]
     else:                               # a SearchResult JSON
         from ..data.synthetic import load_dataset
-        result = SearchResult.from_dict(payload)
+        try:
+            result = SearchResult.from_dict(payload)
+        except ResultError as exc:
+            raise ArtifactError(f"{path}: {exc}") from exc
         config = result.config
         scale = config.scale
         dataset = load_dataset(config.dataset, n_train=scale.n_train,

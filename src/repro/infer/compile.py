@@ -1,9 +1,13 @@
 """Compile a quantized model into an integer-only stage program.
 
-The compiler walks a :class:`~repro.nn.network.Sequential` built from the
-search space (or any sequence of supported layers), fuses each
-conv/BN/activation triplet into one *stage*, and precomputes everything
-the integer engine needs so the hot path touches no floats:
+The compiler walks a :class:`~repro.nn.network.Sequential` as
+:func:`~repro.space.builder.build_model` emits it — a conv stem, inverted
+bottlenecks, a 1x1 head conv, global average pooling and a Dense
+classifier — or with bare top-level conv [+ BN] [+ ReLU6] layers in
+place of the blocks.  It fuses each conv/BN/activation triplet into one
+*stage*, so a program holds only ``conv``, ``dw``, ``gap`` and ``dense``
+stages, and precomputes everything the integer engine needs so the hot
+path touches no floats:
 
 - weight tensors as signed integer codes with the batch-norm *sign*
   folded in (per-channel symmetric quantization commutes with a positive
@@ -24,11 +28,11 @@ Dead BN channels (``bn_scale == 0``) zero the weight codes and substitute
 reduces to the constant ``round(shift / s_y)`` — no division by zero, no
 overflow.
 
-Stages that feed an averaging op (global average pool, AvgPool2D) defer
-the code-range clamp ``[0, n_levels]`` to *after* the pool: the reference
-model quantizes the pooled tensor, not the per-pixel one, so clamping
-early would clip mass the float path keeps.  (Their activation clamp
-still applies per pixel, as in the float model.)
+A stage that feeds the global average pool defers the code-range clamp
+``[0, n_levels]`` to *after* the pool: the reference model quantizes the
+pooled tensor, not the per-pixel one, so clamping early would clip mass
+the float path keeps.  (Its activation clamp still applies per pixel, as
+in the float model.)
 
 Output grids come from the *next* quantized consumer's input quantizer —
 the only calibrated ranges in the model — which is also exactly what the
@@ -45,10 +49,8 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.blocks import ConvBNReLU, InvertedBottleneck
 from ..nn.conv import Conv2D, DepthwiseConv2D
-from ..nn.layers import (BatchNorm2D, Dense, Flatten, GlobalAvgPool2D,
-                         ReLU, ReLU6)
+from ..nn.layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 from ..nn.network import Sequential
-from ..nn.pooling import AvgPool2D, Dropout, MaxPool2D
 from .requant import RequantPlan, quantize_multipliers
 
 INT32_MIN = -(2 ** 31)
@@ -80,12 +82,12 @@ class Stage:
     """
 
     name: str
-    kind: str                     # conv | dw | dense | gap | avgpool | maxpool | flatten
+    kind: str                     # conv | dw | gap | dense
     in_shape: Tuple[int, ...]     # per-image, channels-last
     out_shape: Tuple[int, ...]
     macs: int = 0
     #: rounding steps this stage performs relative to the float reference
-    #: (requantize, bias fold, residual, pool mean) — the parity budget
+    #: (requantize, bias fold, residual, GAP mean) — the parity budget
     round_steps: int = 0
     # -- conv/dw/dense ------------------------------------------------------
     weight: Optional[np.ndarray] = None    # integer codes, BN sign folded
@@ -106,8 +108,6 @@ class Stage:
     # -- final dense output dequantization (off the hot path) ---------------
     out_scale: Optional[np.ndarray] = None  # float64 s_x * s_w per class
     out_bias: Optional[np.ndarray] = None   # float32
-    # -- pooling -------------------------------------------------------------
-    pool: int = 2
     # -- report metadata -----------------------------------------------------
     weight_bits: int = 0
     weight_count: int = 0
@@ -181,14 +181,12 @@ class Stage:
 class _ConvUnit:
     layer: object                 # Conv2D | DepthwiseConv2D
     bn: Optional[BatchNorm2D]
-    act: Optional[str]            # None | "relu" | "relu6"
+    relu6: bool
     residual_src: Optional[int] = None  # unit index whose input is added
 
 
-@dataclass
-class _PoolUnit:
-    kind: str                     # gap | avgpool | maxpool | flatten
-    pool: int = 2
+class _GapUnit:
+    """The global average pool (no parameters)."""
 
 
 @dataclass
@@ -203,46 +201,33 @@ def _flatten_units(model: Sequential) -> List[object]:
     while i < len(items):
         layer = items[i]
         if isinstance(layer, ConvBNReLU):
-            units.append(_ConvUnit(layer.conv, layer.bn, "relu6"))
+            units.append(_ConvUnit(layer.conv, layer.bn, relu6=True))
             i += 1
         elif isinstance(layer, InvertedBottleneck):
             start = len(units)
             if layer.expand is not None:
                 units.append(_ConvUnit(layer.expand.conv, layer.expand.bn,
-                                       "relu6"))
-            units.append(_ConvUnit(layer.depthwise, layer.dw_bn, "relu6"))
-            project = _ConvUnit(layer.project, layer.project_bn, None)
+                                       relu6=True))
+            units.append(_ConvUnit(layer.depthwise, layer.dw_bn, relu6=True))
+            project = _ConvUnit(layer.project, layer.project_bn,
+                                relu6=False)
             if layer.use_residual:
                 project.residual_src = start
             units.append(project)
             i += 1
         elif isinstance(layer, (Conv2D, DepthwiseConv2D)):
-            # peephole: bare conv [+ BN] [+ ReLU/ReLU6] at the top level
+            # peephole: bare conv [+ BN] [+ ReLU6] at the top level
             bn = None
-            act = None
             j = i + 1
             if j < len(items) and isinstance(items[j], BatchNorm2D):
                 bn = items[j]
                 j += 1
-            if j < len(items) and isinstance(items[j], (ReLU, ReLU6)):
-                act = "relu6" if isinstance(items[j], ReLU6) else "relu"
-                j += 1
-            units.append(_ConvUnit(layer, bn, act))
-            i = j
+            relu6 = j < len(items) and isinstance(items[j], ReLU6)
+            units.append(_ConvUnit(layer, bn, relu6))
+            i = j + 1 if relu6 else j
         elif isinstance(layer, GlobalAvgPool2D):
-            units.append(_PoolUnit("gap"))
+            units.append(_GapUnit())
             i += 1
-        elif isinstance(layer, AvgPool2D):
-            units.append(_PoolUnit("avgpool", layer.pool))
-            i += 1
-        elif isinstance(layer, MaxPool2D):
-            units.append(_PoolUnit("maxpool", layer.pool))
-            i += 1
-        elif isinstance(layer, Flatten):
-            units.append(_PoolUnit("flatten"))
-            i += 1
-        elif isinstance(layer, Dropout):
-            i += 1                # identity at inference
         elif isinstance(layer, Dense):
             if i != len(items) - 1:
                 raise CompileError(
@@ -251,7 +236,8 @@ def _flatten_units(model: Sequential) -> List[object]:
             i += 1
         else:
             raise CompileError(
-                f"unsupported layer for integer compilation: {layer!r}")
+                f"{layer.name}: unsupported layer for integer compilation "
+                f"({type(layer).__name__})")
     if not units or not isinstance(units[-1], _DenseUnit):
         raise CompileError("network must end in a Dense classifier")
     return units
@@ -317,9 +303,8 @@ def _conv_stage(unit: _ConvUnit, grid_in: Grid, grid_out: Grid,
 
     zp_y, n_y = grid_out.zero_point, grid_out.n_levels
     lo, hi = (INT32_MIN, INT32_MAX) if deferred else (0, n_y)
-    if unit.act in ("relu", "relu6"):
+    if unit.relu6:
         lo = max(lo, zp_y)
-    if unit.act == "relu6":
         hi = min(hi, zp_y + int(np.round(6.0 / grid_out.scale)))
 
     residual = {}
@@ -373,27 +358,12 @@ def _dense_stage(unit: _DenseUnit, grid_in: Grid,
         out_channels=layer.out_features, round_steps=0)
 
 
-def _pool_stage(unit: _PoolUnit, grid: Grid,
-                in_shape: Tuple[int, ...]) -> Stage:
-    if unit.kind == "gap":
-        if len(in_shape) != 3:
-            raise CompileError("global average pool expects NHWC input")
-        out_shape: Tuple[int, ...] = (in_shape[2],)
-        steps = 1
-    elif unit.kind in ("avgpool", "maxpool"):
-        h, w, c = in_shape
-        if h % unit.pool or w % unit.pool:
-            raise CompileError(
-                f"{unit.kind}: input {h}x{w} not divisible by "
-                f"pool {unit.pool}")
-        out_shape = (h // unit.pool, w // unit.pool, c)
-        steps = 1 if unit.kind == "avgpool" else 0
-    else:  # flatten
-        out_shape = (int(np.prod(in_shape)),)
-        steps = 0
-    return Stage(name=unit.kind, kind=unit.kind, in_shape=tuple(in_shape),
-                 out_shape=out_shape, pool=unit.pool,
-                 clamp_lo=0, clamp_hi=grid.n_levels, round_steps=steps)
+def _gap_stage(grid: Grid, in_shape: Tuple[int, ...]) -> Stage:
+    if len(in_shape) != 3:
+        raise CompileError("global average pool expects NHWC input")
+    return Stage(name="gap", kind="gap", in_shape=tuple(in_shape),
+                 out_shape=(in_shape[2],),
+                 clamp_lo=0, clamp_hi=grid.n_levels, round_steps=1)
 
 
 def compile_model(model: Sequential, image_size: int,
@@ -427,16 +397,15 @@ def compile_model(model: Sequential, image_size: int,
             next_pos = min(p for p in conv_positions if p > k)
             grid_out = grids[next_pos]
             deferred = (k + 1 < len(units)
-                        and isinstance(units[k + 1], _PoolUnit)
-                        and units[k + 1].kind in ("gap", "avgpool"))
+                        and isinstance(units[k + 1], _GapUnit))
             res_grid = (grids[unit.residual_src]
                         if unit.residual_src is not None else None)
             stages.append(_conv_stage(unit, grids[k], grid_out, in_shape,
                                       deferred, res_grid, k in saved))
         else:
-            # pools carry the grid of the next quantized consumer
+            # the pool carries the grid of the next quantized consumer
             next_pos = min(p for p in conv_positions if p > k)
-            stages.append(_pool_stage(unit, grids[next_pos], in_shape))
+            stages.append(_gap_stage(grids[next_pos], in_shape))
         in_shape = stages[-1].out_shape
 
     return Program(stages=stages, input_grid=grids[conv_positions[0]],

@@ -5,9 +5,10 @@ next quantized consumer.  The only float arithmetic is at the program
 boundary: quantizing the input image (the "ADC" step) and dequantizing
 the final classifier accumulators into logits.  Everything in between —
 convolutions, bias adds, requantization, activation clamps, residual
-adds, pooling — is integer-only, which the parity suite enforces by
-monkeypatching ``np.einsum`` and ``np.matmul`` to reject float operands
-during execution.
+adds, the global average pool — is integer-only, which the parity suite
+enforces by monkeypatching ``np.einsum`` and ``np.matmul`` to reject
+float operands during execution.  A program holds the four stage kinds
+the search space lowers to: ``conv``, ``dw``, ``gap`` and ``dense``.
 
 :class:`ArenaExecutor` is the engine behind :meth:`Program.run`.  It
 places every inter-stage tensor at a fixed offset in one preallocated
@@ -48,9 +49,8 @@ from ..nn import functional as F
 from ..obs import profile as prof
 from ..obs.trace import get_recorder
 from .compile import Grid, Stage
-from .kernels import (avg_pool_int, conv2d_int, dense_int,
-                      depthwise_conv2d_int, global_avg_pool_int,
-                      max_pool_int)
+from .kernels import (conv2d_int, dense_int, depthwise_conv2d_int,
+                      global_avg_pool_int)
 from .plan import ArenaPlan, plan_arena
 from .requant import requantize, requantize_into
 
@@ -136,9 +136,7 @@ class ArenaExecutor:
                 rec["ckk"] = ckk
                 rec["block_imgs"] = max(
                     1, min(self.batch, BLOCK_ELEMS // max(per_image, 1)))
-        elif stage.kind in ("avgpool", "maxpool"):
-            rec["pool"] = stage.pool
-        elif stage.kind not in ("dense", "gap", "flatten"):
+        elif stage.kind not in ("dense", "gap"):
             raise ValueError(f"unknown stage kind {stage.kind!r}")
         return rec
 
@@ -173,8 +171,6 @@ class ArenaExecutor:
                     work_res = max(work_res, rows * cout)
             elif stage.kind == "gap":
                 work = max(work, B * stage.out_shape[-1])
-            elif stage.kind == "avgpool":
-                work = max(work, B * int(np.prod(stage.out_shape)))
             elif stage.kind == "dense":
                 classes = stage.out_shape[0]
                 acc32 = max(acc32, B * classes)
@@ -270,7 +266,7 @@ class ArenaExecutor:
         with prof.kernel("infer." + kind):
             if kind == "dense":
                 self._exec_dense(rec, views, n, logits)
-            elif kind != "flatten":   # flatten: aliased slot, no work
+            else:
                 getattr(self, "_exec_" + kind)(rec, views, n)
 
     def _requant_rows(self, stage: Stage, acc_rows: np.ndarray,
@@ -433,32 +429,6 @@ class ArenaExecutor:
         np.floor_divide(work, count, out=work)
         np.clip(work, stage.clamp_lo, stage.clamp_hi, out=out)
 
-    def _exec_avgpool(self, rec: Dict, views: Dict[int, np.ndarray],
-                      n: int) -> None:
-        stage = rec["stage"]
-        x = views[rec["in_value"]]
-        out = views[rec["out_value"]]
-        pool = rec["pool"]
-        ho, wo, c = stage.out_shape
-        tiles = x[:, :ho * pool, :wo * pool, :].reshape(
-            n, ho, pool, wo, pool, c)
-        work = self.work[:out.size].reshape(out.shape)
-        np.sum(tiles, axis=(2, 4), dtype=np.int64, out=work)
-        work += pool * pool // 2
-        np.floor_divide(work, pool * pool, out=work)
-        np.clip(work, stage.clamp_lo, stage.clamp_hi, out=out)
-
-    def _exec_maxpool(self, rec: Dict, views: Dict[int, np.ndarray],
-                      n: int) -> None:
-        stage = rec["stage"]
-        x = views[rec["in_value"]]
-        out = views[rec["out_value"]]
-        pool = rec["pool"]
-        ho, wo, c = stage.out_shape
-        tiles = x[:, :ho * pool, :wo * pool, :].reshape(
-            n, ho, pool, wo, pool, c)
-        tiles.max(axis=(2, 4), out=out)
-
 
 @dataclass(frozen=True, eq=False)
 class Program:
@@ -530,18 +500,10 @@ class Program:
             logits = acc.astype(np.float64) * stage.out_scale \
                 + stage.out_bias
             return logits.astype(np.float32)
-        if stage.kind == "gap":
-            out = global_avg_pool_int(x)
-        elif stage.kind == "avgpool":
-            out = avg_pool_int(x, stage.pool)
-        elif stage.kind == "maxpool":
-            out = max_pool_int(x, stage.pool)
-        elif stage.kind == "flatten":
-            out = x.reshape(x.shape[0], -1)
-        else:
+        if stage.kind != "gap":
             raise ValueError(f"unknown stage kind {stage.kind!r}")
-        if stage.kind in ("gap", "avgpool"):
-            out = np.clip(out, stage.clamp_lo, stage.clamp_hi)
+        out = np.clip(global_avg_pool_int(x), stage.clamp_lo,
+                      stage.clamp_hi)
         return out.astype(np.int32)
 
     def run_batch_reference(self, x: np.ndarray) -> np.ndarray:

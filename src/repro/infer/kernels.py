@@ -104,22 +104,3 @@ def global_avg_pool_int(x: np.ndarray) -> np.ndarray:
     """(N, H, W, C) codes -> (N, C) rounded integer mean."""
     return rounded_mean_int(x, axis=(1, 2))
 
-
-def avg_pool_int(x: np.ndarray, pool: int) -> np.ndarray:
-    """Non-overlapping ``pool x pool`` average in the integer domain."""
-    _require_int(x, "avg_pool_int")
-    n, h, w, c = x.shape
-    ho, wo = h // pool, w // pool
-    tiles = x[:, :ho * pool, :wo * pool, :].reshape(
-        n, ho, pool, wo, pool, c)
-    return rounded_mean_int(tiles, axis=(2, 4))
-
-
-def max_pool_int(x: np.ndarray, pool: int) -> np.ndarray:
-    """Non-overlapping ``pool x pool`` max — exact in any domain."""
-    _require_int(x, "max_pool_int")
-    n, h, w, c = x.shape
-    ho, wo = h // pool, w // pool
-    tiles = x[:, :ho * pool, :wo * pool, :].reshape(
-        n, ho, pool, wo, pool, c)
-    return tiles.max(axis=(2, 4)).astype(np.int32)

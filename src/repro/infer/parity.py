@@ -5,8 +5,8 @@ Two complementary checks on the same inputs:
 1. **Teacher-forced per-stage divergence.**  The reference model is run
    once with capturing input quantizers, recording the exact integer
    codes the fake-quant simulation produces at every quantized layer
-   boundary.  Each integer stage segment (a conv stage plus any pooling
-   up to the next quantized consumer) is then fed the *reference* input
+   boundary.  Each integer stage segment (a conv stage, plus the global
+   average pool when one follows it) is then fed the *reference* input
    codes on the arena executor that serves :meth:`Program.run`
    (:meth:`~repro.infer.engine.ArenaExecutor.step`), and its output
    codes are compared against the reference codes of the next boundary.

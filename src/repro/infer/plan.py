@@ -16,9 +16,6 @@ uses for its peak-activation-memory figure:
   scheme of embedded tensor-arena planners; it is not guaranteed optimal
   but is within the liveness peak's small constant factor in practice
   (the plan records both so the report can show the packing efficiency).
-- **Aliases.**  ``flatten`` is a pure reinterpretation, so its output
-  value shares the producer's slot with a different view shape — no copy
-  and no extra memory.
 - **The final dense output** is float logits, written to the caller's
   buffer, so it owns no arena slot.
 
@@ -30,7 +27,7 @@ zero-copy reshape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +51,6 @@ class Slot:
     offset: int                # per-image int32 elements from arena start
     elems: int
     shape: Tuple[int, ...]
-    alias_of: Optional[int] = None   # value whose storage this one shares
 
 
 @dataclass(frozen=True)
@@ -125,31 +121,13 @@ def peak_liveness(stages) -> Tuple[int, str]:
 
 def plan_arena(stages) -> ArenaPlan:
     """Assign every activation value a fixed offset in one int32 arena."""
-    intervals = {iv.value: iv for iv in liveness_intervals(stages)}
-
-    # flatten output aliases its input's storage: merge the lifetimes and
-    # drop the alias from placement
-    aliases: Dict[int, int] = {}
-    for i, stage in enumerate(stages):
-        if stage.kind == "flatten":
-            target = i - 1
-            while target in aliases:
-                target = aliases[target]
-            aliases[i] = target
-            merged = intervals[target]
-            intervals[target] = Interval(
-                value=target, start=merged.start,
-                end=max(merged.end, intervals[i].end),
-                elems=merged.elems, shape=merged.shape)
-
     # the final stage's output is float logits (dense) or is returned
     # directly to the caller — either way it never lives in the arena
     last_value = len(stages) - 1
-    placeable = [iv for v, iv in sorted(intervals.items())
-                 if v not in aliases and v != last_value]
+    placeable = [iv for iv in liveness_intervals(stages)
+                 if iv.value != last_value]
 
     placed: List[Tuple[Interval, int]] = []    # (interval, offset)
-    offsets: Dict[int, int] = {}
     for iv in sorted(placeable, key=lambda iv: (-iv.elems, iv.start)):
         overlapping = sorted(
             (offset, other.elems) for other, offset in placed
@@ -159,21 +137,11 @@ def plan_arena(stages) -> ArenaPlan:
             if offset - cursor >= iv.elems:
                 break
             cursor = max(cursor, offset + elems)
-        offsets[iv.value] = cursor
         placed.append((iv, cursor))
 
-    slots: Dict[int, Slot] = {}
-    for iv, offset in placed:
-        slots[iv.value] = Slot(value=iv.value, offset=offset,
-                               elems=iv.elems, shape=iv.shape)
-    for alias, target in aliases.items():
-        if alias == last_value or target not in slots:
-            continue
-        base = slots[target]
-        slots[alias] = Slot(value=alias, offset=base.offset,
-                            elems=_elems(stages[alias].out_shape),
-                            shape=tuple(stages[alias].out_shape),
-                            alias_of=target)
+    slots = {iv.value: Slot(value=iv.value, offset=offset, elems=iv.elems,
+                            shape=iv.shape)
+             for iv, offset in placed}
 
     total = max((offset + iv.elems for iv, offset in placed), default=0)
     naive = sum(iv.elems for iv in placeable)

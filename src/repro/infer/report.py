@@ -78,16 +78,6 @@ class DeploymentReport:
         return self.total_bytes / 1024
 
 
-def activation_liveness(program: Program) -> Tuple[int, str]:
-    """``(peak bytes, stage name)`` of live INT8 activations at batch 1.
-
-    Delegates to the arena planner's liveness analysis — the deployment
-    estimate (one byte per INT8 element) and the executor's arena layout
-    are the same intervals at different element widths.
-    """
-    return peak_liveness(program.stages)
-
-
 def deployment_report(program: Program) -> DeploymentReport:
     """Compute the per-layer and aggregate deployment costs."""
     layers: List[LayerCost] = []
@@ -104,7 +94,8 @@ def deployment_report(program: Program) -> DeploymentReport:
             macs=stage.macs, weight_bits=stage.weight_bits,
             weight_count=stage.weight_count, weight_bytes=weight_bytes,
             overhead_bytes=overhead_bits // 8))
-    peak, peak_stage = activation_liveness(program)
+    # the planner's liveness intervals at one byte per INT8 element
+    peak, peak_stage = peak_liveness(program.stages)
     return DeploymentReport(
         name=program.name, image_size=program.image_size, layers=layers,
         total_macs=sum(layer.macs for layer in layers),

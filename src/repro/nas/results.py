@@ -12,6 +12,10 @@ from .config import (SCALE_PRESETS, ScalarizationConfig, ScalePreset,
 from .trial import FinalModelResult, TrialResult
 
 
+class ResultError(ValueError):
+    """A payload or file is not a search result."""
+
+
 def config_to_dict(config: SearchConfig) -> Dict:
     """Portable representation of a :class:`SearchConfig`.
 
@@ -136,11 +140,18 @@ class SearchResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SearchResult":
-        return cls(
-            config=config_from_dict(data["config"]),
-            trials=[TrialResult.from_dict(t) for t in data["trials"]],
-            final_models=[FinalModelResult.from_dict(m)
-                          for m in data["final_models"]])
+        """Inverse of :meth:`as_dict`; a payload that lacks or mistypes
+        its fields raises :class:`ResultError`."""
+        try:
+            return cls(
+                config=config_from_dict(data["config"]),
+                trials=[TrialResult.from_dict(t) for t in data["trials"]],
+                final_models=[FinalModelResult.from_dict(m)
+                              for m in data["final_models"]])
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise ResultError(f"not a search result "
+                              f"({type(exc).__name__}: {exc})") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w") as handle:
@@ -148,5 +159,10 @@ class SearchResult:
 
     @classmethod
     def load(cls, path: str) -> "SearchResult":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
+        """Read a saved result; any failure is one :class:`ResultError`
+        naming ``path``."""
+        try:
+            with open(path) as handle:
+                return cls.from_dict(json.load(handle))
+        except (OSError, ValueError) as exc:
+            raise ResultError(f"cannot read {path}: {exc}") from exc

@@ -9,15 +9,13 @@ and gradient checking.  Data layout is NHWC; all math is float32.
 from .blocks import ConvBNReLU, InvertedBottleneck
 from .conv import Conv2D, DepthwiseConv2D
 from .gradcheck import check_module_gradients, numerical_gradient
-from .layers import (BatchNorm2D, Dense, Flatten, GlobalAvgPool2D, ReLU,
-                     ReLU6)
+from .layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 from .losses import (SoftmaxCrossEntropy, accuracy, evaluate_classifier,
                      softmax, top_k_accuracy)
 from .module import FLOAT, Module, Parameter
 from .network import Sequential
 from .optim import (SGD, Adam, ConstantLR, CosineDecayLR, LRSchedule,
                     Optimizer, StepDecayLR, clip_gradients)
-from .pooling import AvgPool2D, Dropout, MaxPool2D
 from .serialization import (load_state_dict, load_weights, save_weights,
                             state_dict)
 from .trainer import Trainer, TrainHistory
@@ -25,8 +23,7 @@ from .trainer import Trainer, TrainHistory
 __all__ = [
     "FLOAT", "Module", "Parameter",
     "Conv2D", "DepthwiseConv2D", "Dense", "BatchNorm2D",
-    "ReLU", "ReLU6", "GlobalAvgPool2D", "Flatten",
-    "AvgPool2D", "MaxPool2D", "Dropout",
+    "ReLU6", "GlobalAvgPool2D",
     "ConvBNReLU", "InvertedBottleneck", "Sequential",
     "SoftmaxCrossEntropy", "softmax", "accuracy", "top_k_accuracy",
     "evaluate_classifier",

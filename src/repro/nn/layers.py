@@ -1,4 +1,4 @@
-"""Non-convolutional layers: dense, batch norm, activations, pooling."""
+"""Non-convolutional layers: dense, batch norm, ReLU6, global average pool."""
 
 from __future__ import annotations
 
@@ -214,25 +214,6 @@ class BatchNorm2D(Module):
         return f"BatchNorm2D(c={self.channels})"
 
 
-class ReLU(Module):
-    """Rectified linear activation."""
-
-    def __init__(self, name: str = "relu") -> None:
-        super().__init__(name)
-        self._mask = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return F.masked(self._mask, x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        dx = F.masked(self._mask, grad)
-        self._mask = None
-        return dx
-
-
 class ReLU6(Module):
     """ReLU clipped at 6, the MobileNetV2 activation."""
 
@@ -279,22 +260,3 @@ class GlobalAvgPool2D(Module):
                                  self._in_shape).astype(FLOAT)
             self._in_shape = None
             return dx
-
-
-class Flatten(Module):
-    """Flatten all non-batch axes: ``(N, ...) -> (N, D)``."""
-
-    def __init__(self, name: str = "flatten") -> None:
-        super().__init__(name)
-        self._in_shape = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._in_shape is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        dx = grad.reshape(self._in_shape)
-        self._in_shape = None
-        return dx

@@ -1,10 +1,9 @@
 """The BOMP-NAS search space (Table I) and genome machinery."""
 
 from .builder import (build_model, count_macs, describe_model,
-                      min_input_size, scaled_width, stem_channels)
+                      scaled_width, stem_channels)
 from .distance import GenomeDistance
 from .genome import ArchGenome, BlockGenes, MixedPrecisionGenome
-from .graph import genome_to_graph, graph_stats, model_to_graph, to_dot
 from .space import (CIFAR10_WIDTH_CHOICES, CIFAR100_WIDTH_CHOICES,
                     CONV2_FILTER_CHOICES, EXPANSION_CHOICES, KERNEL_CHOICES,
                     MOBILENETV2_BASE_WIDTHS, REPETITION_CHOICES,
@@ -14,10 +13,9 @@ from .space import (CIFAR10_WIDTH_CHOICES, CIFAR100_WIDTH_CHOICES,
 __all__ = [
     "SearchSpace", "BlockSpace", "quantization_slot_names",
     "ArchGenome", "BlockGenes", "MixedPrecisionGenome",
-    "build_model", "count_macs", "describe_model", "min_input_size",
-    "scaled_width", "stem_channels",
+    "build_model", "count_macs", "describe_model", "scaled_width",
+    "stem_channels",
     "GenomeDistance",
-    "model_to_graph", "genome_to_graph", "graph_stats", "to_dot",
     "MOBILENETV2_BASE_WIDTHS", "CIFAR10_WIDTH_CHOICES",
     "CIFAR100_WIDTH_CHOICES", "KERNEL_CHOICES", "EXPANSION_CHOICES",
     "REPETITION_CHOICES", "CONV2_FILTER_CHOICES", "STRIDED_BLOCKS",

@@ -104,13 +104,6 @@ def _tag_block(block: InvertedBottleneck, index: int) -> None:
     block.project.quant_slot = f"ib{index}.project"
 
 
-def min_input_size(arch: ArchGenome) -> int:
-    """Smallest square input that survives both stride-2 reductions."""
-    # two stride-2 stages -> input must be at least 4 so the final feature
-    # map is non-empty; SAME padding handles any kernel size.
-    return 4
-
-
 def count_macs(model: Sequential, input_hw: Tuple[int, int],
                input_channels: int = 3) -> int:
     """Exact multiply-accumulate count for one image.

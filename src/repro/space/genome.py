@@ -11,7 +11,7 @@ hashable so they can key caches and GP training sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..quant.policy import QuantizationPolicy
 
@@ -78,9 +78,6 @@ class MixedPrecisionGenome:
     def as_key(self) -> Tuple:
         return (self.arch.as_tuple(),
                 tuple(sorted(self.policy.as_dict().items())))
-
-    def bit_assignment(self) -> Dict[str, int]:
-        return self.policy.as_dict()
 
     def __hash__(self) -> int:
         return hash(self.as_key())

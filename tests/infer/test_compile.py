@@ -5,10 +5,11 @@ import pytest
 
 from repro.infer import CompileError, compile_model
 from repro.infer.compile import INT32_MAX, INT32_MIN
+from repro.nn.blocks import ConvBNReLU
 from repro.nn.conv import Conv2D
-from repro.nn.layers import BatchNorm2D, Dense, Flatten, ReLU
+from repro.nn.layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
+from repro.nn.module import Module
 from repro.nn.network import Sequential
-from repro.nn.pooling import AvgPool2D, Dropout, MaxPool2D
 from repro.quant import QuantizationPolicy, apply_policy, calibrate
 from repro.space import build_model
 
@@ -23,21 +24,18 @@ def _tagged(layer):
 
 @pytest.fixture
 def custom_model(rng):
-    """Bare-layer graph: conv+BN+ReLU, maxpool, biased conv feeding an
-    avgpool (deferred clamp), dropout, flatten, classifier."""
+    """Bare-layer graph: conv+BN+ReLU6, a biased conv with no activation
+    feeding the global average pool (deferred clamp), classifier."""
     model = Sequential([
         _tagged(Conv2D(3, 4, 3, rng=rng, name="c1")),
         BatchNorm2D(4, name="bn1"),
-        ReLU(name="r1"),
-        MaxPool2D(2),
+        ReLU6(name="r1"),
         _tagged(Conv2D(4, 6, 3, use_bias=True, rng=rng, name="c2")),
-        AvgPool2D(2),
-        Dropout(0.2),
-        Flatten(),
-        _tagged(Dense(24, 10, rng=rng, name="fc")),
+        GlobalAvgPool2D(),
+        _tagged(Dense(6, 10, rng=rng, name="fc")),
     ])
     # nonzero conv bias so compilation must fold it into the accumulator
-    model.layers[4].bias.data = np.random.default_rng(7).normal(
+    model.layers[3].bias.data = np.random.default_rng(7).normal(
         0.0, 0.5, 6).astype(np.float32)
     apply_policy(model, QuantizationPolicy({"w": 8}))
     x = np.random.default_rng(3).normal(
@@ -125,45 +123,67 @@ class TestCompile:
         with pytest.raises(CompileError):
             compile_model(model, 8)
 
+    @pytest.mark.parametrize("make_stray", [
+        lambda: Module(name="mystery"),
+        # a ReLU6 with no bare conv before it has no stage to fuse into
+        lambda: ReLU6(name="lone_relu6"),
+        # a BatchNorm2D folds only into the bare conv just before it
+        lambda: BatchNorm2D(4, name="lone_bn"),
+        # containers are not flattened: only the top level is lowered
+        lambda: Sequential([ReLU6(name="inner")], name="nested"),
+    ], ids=["module", "relu6", "batchnorm", "sequential"])
+    def test_layer_outside_the_stage_kinds_rejected(self, rng, make_stray):
+        """Only conv, dw, gap and dense stages exist: any other layer is
+        refused by name."""
+        stray = make_stray()
+        model = Sequential([
+            ConvBNReLU(3, 4, kernel=3, stride=1, rng=rng, name="stem"),
+            stray,
+            GlobalAvgPool2D(),
+            Dense(4, 10, rng=rng, name="fc"),
+        ])
+        with pytest.raises(CompileError, match=stray.name):
+            compile_model(model, 8)
+
 
 class TestCustomGraph:
-    """Bare-layer peephole path: conv [+BN] [+ReLU], explicit pools,
-    dropout elision, layer-bias folding, and genuine clamp deferral."""
+    """Bare-layer peephole path: conv [+BN] [+ReLU6], layer-bias folding,
+    and genuine clamp deferral into the global average pool."""
 
     def test_flattening_and_stage_kinds(self, custom_model):
         model, _ = custom_model
         program = compile_model(model, 8, name="custom")
         kinds = [s.kind for s in program.stages]
-        # dropout vanishes; everything else maps one-to-one
-        assert kinds == ["conv", "maxpool", "conv", "avgpool", "flatten",
-                        "dense"]
+        # BN and ReLU6 fuse into their conv; everything else maps 1:1
+        assert kinds == ["conv", "conv", "gap", "dense"]
         assert program.stages[-1].out_shape == (10,)
 
-    def test_relu_clamps_at_zero_point_only(self, custom_model):
+    def test_relu6_clamps_at_zero_point_and_six(self, custom_model):
         model, _ = custom_model
         program = compile_model(model, 8, name="custom")
         c1 = program.stages[0]
-        # plain ReLU: floor at the output zero-point, no 6/s_y ceiling
+        # ReLU6: floor at the output zero-point, ceiling at zp + 6/s_y,
+        # intersected with the code range
+        scale = model.layers[3].input_quantizer.quant_params()[0]
         assert c1.clamp_lo == c1.out_zp
-        assert c1.clamp_hi == 2 ** 8 - 1
+        assert c1.clamp_hi == min(2 ** 8 - 1,
+                                  c1.out_zp + int(np.round(6.0 / scale)))
 
-    def test_deferred_clamp_before_avgpool(self, custom_model):
+    def test_deferred_clamp_before_gap(self, custom_model):
         model, _ = custom_model
         program = compile_model(model, 8, name="custom")
-        c2 = program.stages[2]
-        # activation-free conv feeding a pool: range clamp fully deferred
+        c2 = program.stages[1]
+        # activation-free conv feeding the pool: range clamp fully deferred
         assert (c2.clamp_lo, c2.clamp_hi) == (INT32_MIN, INT32_MAX)
-        pool = program.stages[3]
-        assert pool.kind == "avgpool"
+        pool = program.stages[2]
+        assert pool.kind == "gap"
         assert (pool.clamp_lo, pool.clamp_hi) == (0, 2 ** 8 - 1)
         assert pool.round_steps == 1
-        maxpool = program.stages[1]
-        assert maxpool.round_steps == 0
 
     def test_layer_bias_is_folded(self, custom_model):
         model, _ = custom_model
         program = compile_model(model, 8, name="custom")
-        c2 = program.stages[2]
+        c2 = program.stages[1]
         assert np.abs(c2.bias_acc).max() > 0
 
     def test_integer_run_tracks_fake_quant(self, custom_model):

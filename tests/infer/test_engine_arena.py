@@ -13,9 +13,8 @@ import pytest
 from repro.infer import compile_model
 from repro.infer.engine import BLOCK_ELEMS, ArenaExecutor, Program
 from repro.nn.conv import Conv2D, DepthwiseConv2D
-from repro.nn.layers import BatchNorm2D, Dense, Flatten, ReLU, ReLU6
+from repro.nn.layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 from repro.nn.network import Sequential
-from repro.nn.pooling import AvgPool2D, MaxPool2D
 from repro.quant import QuantizationPolicy, apply_policy, calibrate
 
 
@@ -27,25 +26,23 @@ def _tagged(layer, slot):
 @pytest.fixture(scope="module")
 def zoo_program():
     """A stage zoo the search space never emits in one network: strided
-    same-pad conv, depthwise, avg/max pool, valid-pad conv, strided 1x1,
-    flatten — at mixed {4..8}-bit weights."""
+    same-pad conv, bare depthwise, valid-pad biased conv, strided 1x1
+    feeding the pool — at mixed {4..8}-bit weights."""
     rng = np.random.default_rng(21)
     model = Sequential([
         _tagged(Conv2D(3, 8, 3, stride=2, rng=rng, name="c1"), "a"),
         BatchNorm2D(8, name="bn1"),
         ReLU6(name="r1"),
-        AvgPool2D(2),
         _tagged(DepthwiseConv2D(8, 3, rng=rng, name="dw"), "b"),
         BatchNorm2D(8, name="bn2"),
-        ReLU(name="r2"),
-        MaxPool2D(2),
+        ReLU6(name="r2"),
         _tagged(Conv2D(8, 10, 2, padding="valid", use_bias=True,
                        rng=rng, name="c2"), "c"),
         _tagged(Conv2D(10, 12, 1, stride=2, rng=rng, name="c3"), "d"),
-        Flatten(),
+        GlobalAvgPool2D(),
         _tagged(Dense(12, 10, rng=rng, name="fc"), "e"),
     ])
-    model.layers[8].bias.data = rng.normal(0.0, 0.5, 10).astype(np.float32)
+    model.layers[6].bias.data = rng.normal(0.0, 0.5, 10).astype(np.float32)
     apply_policy(model, QuantizationPolicy(
         {"a": 7, "b": 5, "c": 8, "d": 6, "e": 4}))
     calibrate(model, rng.normal(size=(64, 16, 16, 3)).astype(np.float32))
@@ -219,8 +216,8 @@ def _reference_inputs(program, x):
 
 class TestPerStageBitIdentity:
     """The arena's teacher-forced step equals ``run_stage`` at every
-    stage, so a stage error that a later clamp or max-pool would mask in
-    the final logits still fails."""
+    stage, so a stage error that a later clamp or mean would mask in the
+    final logits still fails."""
 
     @pytest.mark.parametrize("name", ["program8", "program_mixed",
                                       "zoo_program"])

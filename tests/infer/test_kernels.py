@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.infer import (avg_pool_int, conv2d_int, dense_int,
-                         depthwise_conv2d_int, global_avg_pool_int,
-                         max_pool_int)
+from repro.infer import (conv2d_int, dense_int, depthwise_conv2d_int,
+                         global_avg_pool_int)
 from repro.infer.kernels import rounded_mean_int
 from repro.nn import functional as F
 
@@ -86,23 +85,26 @@ class TestPooling:
         expected = np.floor(x.mean(axis=(1, 2)) + 0.5).astype(np.int64)
         np.testing.assert_array_equal(got, expected)
 
-    def test_avg_pool(self, int_rng):
-        x = int_rng.integers(0, 255, size=(2, 4, 4, 3)).astype(np.int32)
-        got = avg_pool_int(x, 2)
-        assert got.shape == (2, 2, 2, 3)
-        tile = x[0, :2, :2, 0]
-        assert got[0, 0, 0, 0] == (int(tile.sum()) + 2) // 4
+    def test_rounded_mean_over_one_axis(self):
+        x = np.array([[1, 2, 2], [0, 0, 1]], dtype=np.int32)
+        # rows: 5/3 -> 2, 1/3 -> 0; columns: 1/2 -> 1, 2/2 -> 1, 3/2 -> 2
+        np.testing.assert_array_equal(rounded_mean_int(x, axis=(1,)),
+                                      [2, 0])
+        np.testing.assert_array_equal(rounded_mean_int(x, axis=(0,)),
+                                      [1, 1, 2])
 
-    def test_max_pool(self, int_rng):
-        x = int_rng.integers(-50, 50, size=(2, 6, 6, 3)).astype(np.int32)
-        got = max_pool_int(x, 3)
-        assert got.shape == (2, 2, 2, 3)
-        assert got[1, 1, 1, 2] == x[1, 3:6, 3:6, 2].max()
+    def test_global_avg_pool_of_one_pixel_is_identity(self, int_rng):
+        x = int_rng.integers(0, 256, size=(4, 1, 1, 5)).astype(np.int32)
+        got = global_avg_pool_int(x)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, x.reshape(4, 5))
+
+    def test_global_avg_pool_sums_past_int32(self):
+        # 64 codes of 2**30 sum to 2**36, which an int32 total would wrap
+        x = np.full((1, 8, 8, 2), 2 ** 30, dtype=np.int32)
+        np.testing.assert_array_equal(global_avg_pool_int(x),
+                                      [[2 ** 30, 2 ** 30]])
 
     def test_pools_reject_float(self):
-        x = np.zeros((1, 4, 4, 1), dtype=np.float32)
-        for fn in (global_avg_pool_int,
-                   lambda a: avg_pool_int(a, 2),
-                   lambda a: max_pool_int(a, 2)):
-            with pytest.raises(TypeError):
-                fn(x)
+        with pytest.raises(TypeError):
+            global_avg_pool_int(np.zeros((1, 4, 4, 1), dtype=np.float32))

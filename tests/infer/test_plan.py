@@ -1,4 +1,4 @@
-"""Arena-planner tests: liveness intervals, packing, aliasing."""
+"""Arena-planner tests: liveness intervals and packing."""
 
 import numpy as np
 import pytest
@@ -42,8 +42,8 @@ class TestLivenessIntervals:
         assert by_value[1].end == 2          # un-pinned neighbour unchanged
 
     def test_interval_elems_match_shapes(self):
-        stages = _chain([(4, 4, 3), (2, 2, 16), (64,), (10,)],
-                        kinds=["conv", "flatten", "dense"])
+        stages = _chain([(4, 4, 3), (2, 2, 16), (16,), (10,)],
+                        kinds=["conv", "gap", "dense"])
         for iv in liveness_intervals(stages):
             assert iv.elems == int(np.prod(iv.shape))
 
@@ -51,9 +51,8 @@ class TestLivenessIntervals:
 class TestPeakLiveness:
     def test_matches_bruteforce_sum(self):
         stages = _chain([(8, 8, 3), (8, 8, 16), (4, 4, 24), (2, 2, 24),
-                         (96,), (10,)],
-                        kinds=["conv", "conv", "avgpool", "flatten",
-                               "dense"])
+                         (24,), (10,)],
+                        kinds=["conv", "conv", "conv", "gap", "dense"])
         intervals = liveness_intervals(stages)
         expected = max(
             sum(iv.elems for iv in intervals if iv.start <= t <= iv.end)
@@ -73,7 +72,7 @@ class TestPlanArena:
     def _assert_no_live_overlap(self, stages, plan):
         """Temporally overlapping values must occupy disjoint ranges."""
         intervals = {iv.value: iv for iv in liveness_intervals(stages)}
-        slots = [s for s in plan.slots.values() if s.alias_of is None]
+        slots = list(plan.slots.values())
         for a in slots:
             for b in slots:
                 if a.value >= b.value:
@@ -86,9 +85,8 @@ class TestPlanArena:
 
     def test_no_overlap_linear(self):
         stages = _chain([(8, 8, 3), (8, 8, 16), (4, 4, 32), (2, 2, 32),
-                         (128,), (10,)],
-                        kinds=["conv", "conv", "maxpool", "flatten",
-                               "dense"])
+                         (32,), (10,)],
+                        kinds=["conv", "conv", "conv", "gap", "dense"])
         plan = plan_arena(stages)
         self._assert_no_live_overlap(stages, plan)
         assert plan.total_elems <= plan.naive_elems
@@ -105,20 +103,9 @@ class TestPlanArena:
             assert (source.offset + source.elems <= other.offset
                     or other.offset + other.elems <= source.offset)
 
-    def test_flatten_aliases_producer(self):
-        stages = _chain([(4, 4, 3), (2, 2, 16), (64,), (10,)],
-                        kinds=["conv", "flatten", "dense"])
-        plan = plan_arena(stages)
-        alias = plan.slots[1]
-        assert alias.alias_of == 0
-        assert alias.offset == plan.slots[0].offset
-        assert alias.shape == (64,)
-        # aliasing adds no memory: arena fits input + conv output
-        assert plan.total_elems == 4 * 4 * 3 + 2 * 2 * 16
-
     def test_final_value_owns_no_slot(self):
-        stages = _chain([(4, 4, 3), (48,), (10,)],
-                        kinds=["flatten", "dense"])
+        stages = _chain([(4, 4, 3), (3,), (10,)],
+                        kinds=["gap", "dense"])
         plan = plan_arena(stages)
         assert len(stages) - 1 not in plan.slots
 
@@ -130,9 +117,8 @@ class TestPlanArena:
 
     def test_program_plan_consistent_with_report(self, program8):
         """The report's liveness figure is the planner's lower bound."""
-        from repro.infer.report import activation_liveness
         plan = plan_arena(program8.stages)
-        peak_elems, _ = activation_liveness(program8)
+        peak_elems, _ = peak_liveness(program8.stages)
         assert plan.peak_elems == peak_elems
         assert plan.total_elems >= peak_elems
         self._assert_no_live_overlap(program8.stages, plan)

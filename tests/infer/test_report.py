@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from repro.infer import deployment_report, format_report
-from repro.infer.compile import Grid, Stage
-from repro.infer.engine import Program
-from repro.infer.report import activation_liveness
+from repro.infer.compile import Stage
+from repro.infer.plan import peak_liveness
 from repro.quant import model_size_bits
 from repro.quant.apply import BIAS_BITS, quantizable_layers
 from repro.quant.size import FLOAT_BITS, layer_sizes
@@ -59,10 +58,6 @@ class TestWeightAccounting:
 
 
 class TestLiveness:
-    def _program(self, stages):
-        return Program(stages=stages, input_grid=Grid(1.0, 0, 255),
-                       image_size=4, in_channels=3, name="fake")
-
     def test_hand_computed_peak_with_residual(self):
         """in/out live during each stage; a residual source's input stays
         live from the stage after the source until its consumer."""
@@ -74,7 +69,7 @@ class TestLiveness:
                   residual_from=1),
             Stage("s3", "gap", (4, 4, 8), (8,)),          # 128 + 8
         ]
-        peak, peak_stage = activation_liveness(self._program(stages))
+        peak, peak_stage = peak_liveness(stages)
         assert (peak, peak_stage) == (384, "s2")
 
     def test_hand_computed_peak_without_residual(self):
@@ -82,7 +77,7 @@ class TestLiveness:
             Stage("wide", "conv", (4, 4, 3), (4, 4, 16)),  # 48 + 256
             Stage("narrow", "conv", (4, 4, 16), (2, 2, 16)),  # 256 + 64
         ]
-        peak, peak_stage = activation_liveness(self._program(stages))
+        peak, peak_stage = peak_liveness(stages)
         assert (peak, peak_stage) == (320, "narrow")
 
     def test_residual_not_double_counted_at_source(self):
@@ -93,7 +88,7 @@ class TestLiveness:
             Stage("mid", "conv", (2, 2, 4), (2, 2, 4)),
             Stage("snk", "conv", (2, 2, 4), (2, 2, 4), residual_from=0),
         ]
-        peak, peak_stage = activation_liveness(self._program(stages))
+        peak, peak_stage = peak_liveness(stages)
         # src: 128+16 = 144; mid: 16+16+128 = 160; snk: 16+16+128 = 160
         assert peak == 160
         assert peak_stage == "mid"

@@ -4,6 +4,8 @@ Each example draws a genome from ``SearchSpace`` (either CIFAR menu,
 with its random {4..8}-bit policy), builds, calibrates and compiles it
 at 8 px with no training, and requires:
 
+- the program to hold only the stage kinds the engine lowers —
+  ``conv``, ``dw``, ``gap`` and ``dense``;
 - ``Program.run`` at an odd batch size to equal
   ``run_batch_reference`` bit for bit, so prefix views and every
   drawn kernel, width and repetition count go through the arena;
@@ -25,6 +27,7 @@ IMAGE_SIZE = 8
 IMAGES = 11
 BATCH = 5        # odd: 11 images run as 5 + 5 + a 1-image tail
 CLASSES = {"cifar10": 10, "cifar100": 100}
+STAGE_KINDS = {"conv", "dw", "gap", "dense"}
 
 
 @given(dataset=st.sampled_from(sorted(CLASSES)),
@@ -40,6 +43,7 @@ def test_drawn_genome_is_exact_and_within_budget(dataset, seed):
     calibrate(model, x)
     model.set_training(False)
     program = compile_model(model, IMAGE_SIZE, name="drawn")
+    assert {stage.kind for stage in program.stages} <= STAGE_KINDS
 
     reference = np.concatenate([
         program.run_batch_reference(x[s:s + BATCH])

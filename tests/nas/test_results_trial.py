@@ -1,10 +1,13 @@
 """Tests for result containers, trial records and JSON persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.nas import (BOMPNAS, SearchResult, TrialResult, genome_from_dict,
                        genome_to_dict)
+from repro.nas.results import ResultError, config_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,33 @@ class TestSearchResult:
         empty = SearchResult(config=finished_run.config, trials=[])
         with pytest.raises(ValueError):
             empty.best_trial()
+
+    def test_from_dict_refuses_mistyped_trials(self, finished_run):
+        payload = {"config": config_to_dict(finished_run.config),
+                   "trials": 5, "final_models": []}
+        with pytest.raises(ResultError, match="not a search result"):
+            SearchResult.from_dict(payload)
+
+
+class TestLoadRefusesNonResults:
+    """Whatever the path holds, if it is not a saved run ``load`` raises
+    one :class:`ResultError` (a ``ValueError``) that names the path."""
+
+    @pytest.mark.parametrize("content", [
+        "[]", '{"a": 1}', '{"config": {}, "trials": [], "final_models": []}',
+        '{"config": ', None, "directory"],
+        ids=["list", "object", "empty-config", "truncated", "missing",
+             "directory"])
+    def test_raises_one_error_naming_the_path(self, content, tmp_path):
+        path = tmp_path / "result.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        with pytest.raises(ResultError, match=re.escape(str(path))) as info:
+            SearchResult.load(str(path))
+        assert isinstance(info.value, ValueError)
+        assert "\n" not in str(info.value)
 
 
 class TestFinalModels:

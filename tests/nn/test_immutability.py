@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.conv import Conv2D, DepthwiseConv2D
-from repro.nn.layers import (BatchNorm2D, Dense, GlobalAvgPool2D, ReLU,
-                             ReLU6)
+from repro.nn.layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 
 from .test_layer_oracle import LAYOUTS, _attach_quantizers, _layout, _values
 
@@ -26,8 +25,6 @@ def _build(kind, case, rng):
     c, k, padding = case["c"], case["kernel"], case["padding"]
     if kind == "bn":
         return BatchNorm2D(c)
-    if kind == "relu":
-        return ReLU()
     if kind == "relu6":
         return ReLU6()
     if kind.startswith("dwconv"):
@@ -50,7 +47,7 @@ def _arrange(values, kind):
     return _layout(values, kind)
 
 
-KINDS = ("bn", "relu", "relu6", "dwconv_s1", "dwconv_s2", "conv_1x1",
+KINDS = ("bn", "relu6", "dwconv_s1", "dwconv_s2", "conv_1x1",
          "conv_kxk", "dense", "gap")
 
 cases = st.fixed_dictionaries({

@@ -1,10 +1,10 @@
-"""Tests for dense, batch norm, activations and pooling layers."""
+"""Tests for the dense, batch norm, ReLU6 and global average pool layers."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (BatchNorm2D, Dense, Flatten, GlobalAvgPool2D, ReLU,
-                      ReLU6, check_module_gradients)
+from repro.nn import (BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6,
+                      check_module_gradients)
 
 
 class TestDense:
@@ -111,13 +111,6 @@ class TestBatchNorm2D:
 
 
 class TestActivations:
-    def test_relu(self):
-        relu = ReLU()
-        x = np.array([[-1.0, 0.0, 2.0]], dtype=np.float32)
-        np.testing.assert_array_equal(relu.forward(x), [[0, 0, 2]])
-        dx = relu.backward(np.ones((1, 3), dtype=np.float32))
-        np.testing.assert_array_equal(dx, [[0, 0, 1]])
-
     def test_relu6_clips_both_sides(self):
         act = ReLU6()
         x = np.array([[-1.0, 3.0, 7.0]], dtype=np.float32)
@@ -129,6 +122,26 @@ class TestActivations:
         # keep away from the kinks at 0 and 6
         x = rng.uniform(0.5, 5.5, size=(3, 4)).astype(np.float32)
         check_module_gradients(ReLU6(), x)
+
+    def test_relu6_no_gradient_at_the_kinks(self):
+        act = ReLU6()
+        x = np.array([[0.0, -0.0, 6.0]], dtype=np.float32)
+        np.testing.assert_array_equal(act.forward(x), [[0, 0, 6]])
+        dx = act.backward(np.ones((1, 3), dtype=np.float32))
+        np.testing.assert_array_equal(dx, [[0, 0, 0]])
+
+    def test_relu6_backward_before_forward_raises(self):
+        with pytest.raises(RuntimeError, match="before forward"):
+            ReLU6().backward(np.ones((1, 3), dtype=np.float32))
+
+    def test_relu6_mask_spent_by_backward(self):
+        act = ReLU6()
+        grad = np.ones((1, 3), dtype=np.float32)
+        act.forward(np.ones((1, 3), dtype=np.float32))
+        act.backward(grad)
+        # a second backward needs a second forward
+        with pytest.raises(RuntimeError, match="before forward"):
+            act.backward(grad)
 
 
 class TestPooling:
@@ -147,10 +160,23 @@ class TestPooling:
         with pytest.raises(ValueError):
             GlobalAvgPool2D().forward(np.zeros((2, 3), dtype=np.float32))
 
-    def test_flatten_roundtrip(self, rng):
-        flat = Flatten()
-        x = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
-        out = flat.forward(x)
-        assert out.shape == (2, 60)
-        back = flat.backward(out)
-        np.testing.assert_array_equal(back, x)
+    def test_gap_backward_spreads_gradient_evenly(self, rng):
+        gap = GlobalAvgPool2D()
+        gap.forward(rng.normal(size=(2, 3, 4, 5)).astype(np.float32))
+        grad = rng.normal(size=(2, 5)).astype(np.float32)
+        dx = gap.backward(grad)
+        assert dx.dtype == np.float32
+        expected = np.broadcast_to(grad[:, None, None, :] / 12, dx.shape)
+        np.testing.assert_allclose(dx, expected, rtol=1e-6)
+
+    def test_gap_of_one_pixel_is_a_reshape(self, rng):
+        gap = GlobalAvgPool2D()
+        x = rng.normal(size=(3, 1, 1, 4)).astype(np.float32)
+        np.testing.assert_array_equal(gap.forward(x), x.reshape(3, 4))
+        grad = rng.normal(size=(3, 4)).astype(np.float32)
+        np.testing.assert_array_equal(gap.backward(grad),
+                                      grad.reshape(3, 1, 1, 4))
+
+    def test_gap_backward_before_forward_raises(self):
+        with pytest.raises(RuntimeError, match="before forward"):
+            GlobalAvgPool2D().backward(np.ones((1, 2), dtype=np.float32))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (SGD, BatchNorm2D, ConstantLR, Conv2D, Dense, Flatten,
+from repro.nn import (SGD, BatchNorm2D, ConstantLR, Conv2D, Dense,
                       GlobalAvgPool2D, Module, Parameter, ReLU6, Sequential,
                       Trainer, load_state_dict, load_weights, save_weights,
                       state_dict)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.nn import InvertedBottleneck
+from repro.nn import Conv2D, Dense, DepthwiseConv2D, InvertedBottleneck
 from repro.quant import quantizable_layers
-from repro.space import (ArchGenome, BlockGenes, build_model, count_macs,
-                         describe_model, scaled_width, stem_channels)
+from repro.space import (ArchGenome, BlockGenes, SearchSpace, build_model,
+                         count_macs, describe_model,
+                         quantization_slot_names, scaled_width,
+                         stem_channels)
 
 
 def genome_with_reps(c10_space, reps):
@@ -44,6 +46,39 @@ class TestBuildModel:
     def test_seed_has_23_quantizable_layers(self, c10_space, rng):
         model = build_model(c10_space.seed_arch(), 10, rng=rng)
         assert len(quantizable_layers(model)) == 23
+
+    def test_seed_is_one_chain_from_stem_to_classifier(self, c10_space,
+                                                       rng):
+        model = build_model(c10_space.seed_arch(), 10, rng=rng)
+        kinds = [type(layer).__name__ for layer in model.layers]
+        assert kinds == (["ConvBNReLU"] + ["InvertedBottleneck"] * 7
+                         + ["ConvBNReLU", "GlobalAvgPool2D", "Dense"])
+        # the quantizable layers meet the slots in the slot list's order
+        slots = [layer.quant_slot for layer in quantizable_layers(model)]
+        assert slots == quantization_slot_names()
+
+    def test_seed_has_22_convolutions_and_one_dense(self, c10_space, rng):
+        model = build_model(c10_space.seed_arch(), 10, rng=rng)
+        layers = quantizable_layers(model)
+        convs = [layer for layer in layers
+                 if isinstance(layer, (Conv2D, DepthwiseConv2D))]
+        dense = [layer for layer in layers if isinstance(layer, Dense)]
+        assert len(convs) == 22
+        assert dense == [model.layers[-1]]
+
+    @pytest.mark.parametrize("dataset", ["cifar10", "cifar100"])
+    def test_every_repeat_after_the_first_is_residual(self, dataset, rng):
+        space = SearchSpace(dataset)
+        for _ in range(4):
+            model = build_model(space.random_arch(rng), 10, rng=rng)
+            for block in model.layers:
+                if not isinstance(block, InvertedBottleneck):
+                    continue
+                assert block.use_residual == (
+                    block.stride == 1
+                    and block.in_channels == block.out_channels)
+                if not block.name.endswith("_r0"):
+                    assert block.use_residual, block.name
 
     def test_all_layers_tagged(self, c10_space, rng):
         model = build_model(c10_space.random_arch(rng), 10, rng=rng)

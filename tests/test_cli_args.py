@@ -1,9 +1,13 @@
-"""Bad numbers on the command line are refused before any work starts."""
+"""Bad command-line input is refused in one line before any work starts."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import cli
 from repro.obs import profile
 from repro.parallel import RetryPolicy
@@ -15,6 +19,7 @@ SEARCH = ["search", "--scale", "unit", "--no-final-training", "--quiet",
 SERVE = ["serve", "--run-dir", "run"]
 INFER = ["infer", "model.bomp"]
 REPORT = ["report", "fig2", "--scale", "unit"]
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 BAD_ARGS = [
     (INFER, "--limit", "-1"),
@@ -102,6 +107,38 @@ class TestExportUnreadableSource:
         garbage.write_bytes(b"\xff\x00 not json")
         with pytest.raises(SystemExit, match="export failed: cannot read"):
             cli.main(["export", str(garbage)])
+
+
+class TestNotARun:
+    """A JSON file that is not a run, or no file at all, is refused with
+    one line naming the file: ``inspect`` exits 1, ``export`` keeps its
+    ``export failed:`` prefix."""
+
+    @pytest.mark.parametrize("command", ["export", "inspect"])
+    @pytest.mark.parametrize("payload", ["[]", '{"a": 1}'],
+                             ids=["list", "object"])
+    def test_json_that_is_not_a_run(self, command, payload, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_text(payload)
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, str(path)])
+        message = info.value.code
+        assert isinstance(message, str), message     # exit status 1
+        assert message.startswith(f"{command} failed: ")
+        assert str(path) in message and "\n" not in message
+        assert "not a search result" in message
+
+    def test_inspect_of_a_missing_file(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "inspect", str(missing)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 1
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("inspect failed: ")
+        assert str(missing) in lines[0]
 
 
 class TestSearchProfileFlag:
