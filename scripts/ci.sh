@@ -7,14 +7,16 @@
 #   1. tier-1 pytest (slow/bench marked tests stay opted out via addopts),
 #      then the training kernels' byte-exactness oracles, the pad and tile
 #      parity properties (tests/nn/test_functional.py), the layers'
-#      no-writes-into-inputs property (tests/nn/test_immutability.py), and
+#      no-writes-into-inputs property (tests/nn/test_immutability.py),
 #      the integer engine's drawn-stage and drawn-genome properties
-#      (tests/infer/test_stage_property.py, test_space_parity.py) and the
-#      serve handler fuzz test (tests/serve/test_fuzz.py) again under
-#      three more fixed hypothesis seeds: the equalities rest on numpy's
-#      loop and allocation order and on einsum's strided views, and the
+#      (tests/infer/test_stage_property.py, test_space_parity.py), its
+#      folded requantization epilogue against the reference chain
+#      (tests/infer/test_requant.py) and the serve handler fuzz test
+#      (tests/serve/test_fuzz.py) again under three more fixed hypothesis
+#      seeds: the equalities rest on numpy's loop and allocation order, on
+#      einsum's strided views and on the epilogue's int64 bound, and the
 #      fuzz test's bodies are drawn, so each CI run checks four times the
-#      shapes and bodies tier-1 does
+#      shapes, multipliers and bodies tier-1 does
 #   2. schema validation of a freshly traced+profiled run's events.jsonl
 #      (exercises the full span/metric/profile event surface), then that
 #      run's `repro report` with its hotspot table, so every CI log shows
@@ -49,7 +51,7 @@ for seed in 1 2 3; do
         tests/nn/test_layer_oracle.py tests/nn/test_channel_sum.py \
         tests/nn/test_functional.py tests/nn/test_immutability.py \
         tests/infer/test_stage_property.py tests/infer/test_space_parity.py \
-        tests/serve/test_fuzz.py
+        tests/infer/test_requant.py tests/serve/test_fuzz.py
 done
 
 echo "== schema: freshly traced+profiled run =="

@@ -357,14 +357,20 @@ def _load_run(source: Union[str, Path]):
     if isinstance(payload, dict) and "optimizer" in payload:
         # a resilience checkpoint
         from ..data.synthetic import make_synthetic_dataset
-        from ..resilience.checkpoint import SearchCheckpoint
-        checkpoint = SearchCheckpoint.from_dict(payload)
-        if checkpoint.dataset_spec is None:
-            raise ArtifactError(
-                f"{path}: checkpoint records no dataset spec")
-        config = config_from_dict(checkpoint.config)
-        dataset = make_synthetic_dataset(**checkpoint.dataset_spec)
-        trials = [TrialResult.from_dict(t) for t in checkpoint.trials]
+        from ..resilience.checkpoint import CheckpointError, SearchCheckpoint
+        try:
+            checkpoint = SearchCheckpoint.from_dict(payload)
+            if checkpoint.dataset_spec is None:
+                raise CheckpointError("checkpoint records no dataset spec")
+            config = config_from_dict(checkpoint.config)
+            dataset = make_synthetic_dataset(**checkpoint.dataset_spec)
+            trials = [TrialResult.from_dict(t) for t in checkpoint.trials]
+        except CheckpointError as exc:
+            raise ArtifactError(f"{path}: {exc}") from exc
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise ArtifactError(f"{path}: invalid checkpoint "
+                                f"({type(exc).__name__}: {exc})") from exc
     else:                               # a SearchResult JSON
         from ..data.synthetic import load_dataset
         try:

@@ -51,7 +51,7 @@ from ..nn.blocks import ConvBNReLU, InvertedBottleneck
 from ..nn.conv import Conv2D, DepthwiseConv2D
 from ..nn.layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 from ..nn.network import Sequential
-from .requant import RequantPlan, quantize_multipliers
+from .requant import RequantPlan, quantize_multipliers, tiled
 
 INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
@@ -127,20 +127,27 @@ class Stage:
     #: ``bias_acc - in_zp * colsum(weight)``: folding the input zero point
     #: into the bias lets the engine contract *raw* codes (padding with
     #: ``in_zp``) instead of shifting every activation tensor first —
-    #: exactly equal mod 2**32, i.e. bit-identical under int32 arithmetic
+    #: exactly equal mod 2**32, i.e. bit-identical under int32 arithmetic.
+    #: Tiled like ``rq`` (conv/dw)
     bias_fused: Optional[np.ndarray] = field(default=None, init=False)
-    #: fused requantization operands for the output multiplier set
+    #: the output requantization with ``out_zp`` folded in; a conv or dw
+    #: stage's per-channel operands are tiled along one image's output,
+    #: ``ho*wo*cout`` long, so the epilogue runs on whole-image rows
     rq: Optional[RequantPlan] = field(default=None, init=False)
-    #: fused requantization operands for the residual multiplier
+    #: the residual requantization with ``res_zp`` folded in (scalars)
     res_rq: Optional[RequantPlan] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         derived = {}
+        pixels = int(np.prod(self.out_shape[:-1]))    # 1 for dense
         if self.mult is not None:
-            derived["rq"] = RequantPlan.build(self.mult, self.shift)
+            derived["rq"] = RequantPlan.build(self.mult, self.shift,
+                                              out_zp=self.out_zp,
+                                              reps=pixels)
         if self.residual_from is not None:
             derived["res_rq"] = RequantPlan.build(self.res_mult,
-                                                  self.res_shift)
+                                                  self.res_shift,
+                                                  in_zp=self.res_zp)
         w = self.weight
         if w is not None:
             if self.kind == "dw":
@@ -160,8 +167,9 @@ class Stage:
             bias = (self.bias_acc.astype(np.int64)
                     if self.bias_acc is not None
                     else np.zeros_like(colsum))
-            derived["bias_fused"] = (bias - np.int64(self.in_zp)
-                                     * colsum).astype(np.int32)
+            derived["bias_fused"] = tiled(
+                (bias - np.int64(self.in_zp) * colsum).astype(np.int32),
+                pixels)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         arrays = [self.weight, self.mult, self.shift, self.bias_acc,
@@ -169,8 +177,7 @@ class Stage:
                   self.bias_fused]
         for plan in (self.rq, self.res_rq):
             if plan is not None:
-                arrays += [plan.q, plan.round1, plan.shift1, plan.sneg,
-                           plan.half]
+                arrays += [plan.q, plan.k, plan.s]
         for array in arrays:
             if isinstance(array, np.ndarray):   # numpy scalars are immutable
                 array.flags.writeable = False

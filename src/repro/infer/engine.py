@@ -13,19 +13,24 @@ the search space lowers to: ``conv``, ``dw``, ``gap`` and ``dense``.
 :class:`ArenaExecutor` is the engine behind :meth:`Program.run`.  It
 places every inter-stage tensor at a fixed offset in one preallocated
 int32 arena (liveness-planned by :mod:`repro.infer.plan`), contracts raw
-codes with the input zero point folded into the bias, gathers im2col
-patches into one reused cache-blocked workspace, and applies requantize
-+ zero-point add + clamp as a single fused in-place pass.  Every
-contraction is one int32 ``np.einsum`` call: a GEMM per conv image
-block and per dense stage, and one pass over all taps per depthwise
-stage.  int32 addition is exact and associative mod 2**32, so any
-summation order gives the reference interpreter's bytes.  Steady-state
-batches perform no ndarray allocations.  The parity harness verifies
-this same path through :meth:`ArenaExecutor.step`.
+codes with the input zero point folded into the bias, and gathers im2col
+patches into one reused cache-blocked workspace.  Every contraction is
+one int32 ``np.einsum`` call: a GEMM per conv image block and per dense
+stage, and one pass over all taps per depthwise stage.  int32 addition
+is exact and associative mod 2**32, so any summation order gives the
+reference interpreter's bytes.  Each conv and depthwise stage then runs
+its epilogue (bias, requantize, residual, zero point, clamp) in place on
+one ``ho*wo*cout`` row per image, a block of whole images at a time:
+the bias add, a multiply, an add and a shift by operands folded and
+tiled along that row when the stage is built
+(:class:`~repro.infer.requant.RequantPlan`), then the clamp.
+Steady-state batches perform no ndarray allocations.  The parity harness
+verifies this same path through :meth:`ArenaExecutor.step`.
 
 :meth:`Program.run_stage` / :meth:`Program.run_batch_reference` is a
 deliberately simple fresh-allocation interpreter, kept only as the
-bit-identity oracle that the tests and the benchmark compare against.
+bit-identity oracle that the tests and the benchmark compare against;
+it runs :data:`REFERENCE_BLOCK` images at a time.
 
 Threading: a :class:`Program` is immutable and may be shared by any
 number of threads; an executor belongs to one thread.
@@ -52,11 +57,14 @@ from .compile import Grid, Stage
 from .kernels import (conv2d_int, dense_int, depthwise_conv2d_int,
                       global_avg_pool_int)
 from .plan import ArenaPlan, plan_arena
-from .requant import requantize, requantize_into
+from .requant import requantize, requantize_epilogue
 
-#: int32 elements in one im2col workspace block (512 KiB); bounds the
-#: cache-blocked GEMM tiles, both their im2col rows and their output rows
+#: int32 elements in one workspace block (512 KiB); bounds a block of
+#: whole images: a conv's im2col rows, and every stage's epilogue rows
 BLOCK_ELEMS = 512 * 1024 // 4
+
+#: images the reference interpreter runs at a time
+REFERENCE_BLOCK = 16
 
 
 class ArenaExecutor:
@@ -71,8 +79,9 @@ class ArenaExecutor:
       sized to the largest cache block any stage needs;
     - ``acc32`` — int32 scratch for strided depthwise rows and the
       classifier;
-    - ``work`` / ``work_res`` — the int64 workspaces of the fused
-      requantize+zero-point+clamp pass (block-sized, reused everywhere);
+    - ``work`` / ``work_res`` — the int64 workspaces of the epilogue and
+      its residual branch, one block of whole images (at most
+      :data:`BLOCK_ELEMS` elements, or one image), reused by every stage;
     - ``fin`` / ``fout`` — float scratch for the two boundary steps.
 
     Short final batches execute on prefix views of the same buffers.
@@ -129,13 +138,14 @@ class ArenaExecutor:
             rec["padded_hw"] = (h + pad_h[0] + pad_h[1],
                                 w + pad_w[0] + pad_w[1])
             rec["needs_pad"] = pad_h != (0, 0) or pad_w != (0, 0)
+            # a block of whole images bounds its int64 epilogue rows and,
+            # in a conv, its im2col rows
+            per_image = ho * wo * cout
             if stage.kind == "conv":
-                ckk = cin * kernel * kernel
-                # a block bounds both its im2col rows and its requant rows
-                per_image = rec["rows_per_image"] * max(ckk, cout)
-                rec["ckk"] = ckk
-                rec["block_imgs"] = max(
-                    1, min(self.batch, BLOCK_ELEMS // max(per_image, 1)))
+                rec["ckk"] = cin * kernel * kernel
+                per_image = ho * wo * max(rec["ckk"], cout)
+            rec["block_imgs"] = max(
+                1, min(self.batch, BLOCK_ELEMS // max(per_image, 1)))
         elif stage.kind not in ("dense", "gap"):
             raise ValueError(f"unknown stage kind {stage.kind!r}")
         return rec
@@ -145,30 +155,24 @@ class ArenaExecutor:
         pad = col = acc32 = work = work_res = 0
         for rec in self._records:
             stage = rec["stage"]
-            if stage.kind == "conv":
+            if stage.kind in ("conv", "dw"):
                 bi, rpi, cout = (rec["block_imgs"], rec["rows_per_image"],
                                  rec["cout"])
-                if rec["kernel"] > 1 or rec["stride"] > 1:
-                    col = max(col, bi * rpi * rec["ckk"])
-                if rec["needs_pad"]:
-                    ph, pw = rec["padded_hw"]
-                    pad = max(pad, bi * ph * pw * stage.in_shape[2])
                 work = max(work, bi * rpi * cout)
                 if stage.residual_from is not None:
                     work_res = max(work_res, bi * rpi * cout)
-            elif stage.kind == "dw":
-                rpi, cout = rec["rows_per_image"], rec["cout"]
+                # a conv pads and gathers one block, a dw the whole batch
+                padded = bi if stage.kind == "conv" else B
                 if rec["needs_pad"]:
                     ph, pw = rec["padded_hw"]
-                    pad = max(pad, B * ph * pw * stage.in_shape[2])
+                    pad = max(pad, padded * ph * pw * stage.in_shape[2])
+            if stage.kind == "conv":
+                if rec["kernel"] > 1 or rec["stride"] > 1:
+                    col = max(col, bi * rpi * rec["ckk"])
+            elif stage.kind == "dw":
                 if rec["stride"] > 1:
                     acc32 = max(acc32, B * stage.out_shape[0]
                                 * stage.taps.shape[2])
-                rows = max(1, min(B * rpi, BLOCK_ELEMS // max(cout, 1)))
-                rec["block_rows"] = rows
-                work = max(work, rows * cout)
-                if stage.residual_from is not None:
-                    work_res = max(work_res, rows * cout)
             elif stage.kind == "gap":
                 work = max(work, B * stage.out_shape[-1])
             elif stage.kind == "dense":
@@ -257,7 +261,9 @@ class ArenaExecutor:
             np.divide(x, grid.scale, out=scratch)
             np.add(scratch, grid.zero_point, out=scratch)
             np.round(scratch, out=scratch)
-            np.clip(scratch, 0, grid.n_levels, out=scratch)
+            # np.clip's Python wrapper costs more than these two passes
+            np.maximum(scratch, 0, out=scratch)
+            np.minimum(scratch, grid.n_levels, out=scratch)
             np.copyto(codes, scratch, casting="unsafe")
 
     def _exec(self, rec: Dict, views: Dict[int, np.ndarray], n: int,
@@ -269,33 +275,28 @@ class ArenaExecutor:
             else:
                 getattr(self, "_exec_" + kind)(rec, views, n)
 
-    def _requant_rows(self, stage: Stage, acc_rows: np.ndarray,
-                      saved_rows: Optional[np.ndarray]) -> None:
-        """Fused requantize + residual + zero point + clamp, in place.
+    def _epilogue(self, rec: Dict, views: Dict[int, np.ndarray],
+                  out_rows: np.ndarray, i0: int, i1: int) -> None:
+        """Bias, requantize, residual, zero point and clamp, in place.
 
-        Reads int32 accumulator rows, writes the final output codes back
-        into the same rows through the int64 workspace — bit-identical
-        to the reference's requantize/add/clip chain.
+        Runs on images ``[i0, i1)`` of ``out_rows``, the stage's int32
+        accumulators read as one ``ho*wo*cout`` row per image — the
+        length the stage's operands are tiled to — and writes the output
+        codes over them, bit-identical to the reference's chain.
         """
-        rows, cout = acc_rows.shape
-        work = self.work[:rows * cout].reshape(rows, cout)
-        requantize_into(acc_rows, stage.rq, work)
-        if saved_rows is not None:
-            work_res = self.work_res[:rows * cout].reshape(rows, cout)
-            np.subtract(saved_rows, stage.res_zp, out=work_res)
-            requantize_into(work_res, stage.res_rq, work_res)
-            np.add(work, work_res, out=work)
-        work += stage.out_zp
-        np.clip(work, stage.clamp_lo, stage.clamp_hi, out=acc_rows)
+        stage = rec["stage"]
+        acc = out_rows[i0:i1]
+        acc += stage.bias_fused
+        work = self.work[:acc.size].reshape(acc.shape)
+        residual = None
+        if stage.residual_from is not None:
+            saved = views[stage.residual_from - 1]
+            residual = (saved.reshape(saved.shape[0], -1)[i0:i1],
+                        stage.res_rq,
+                        self.work_res[:acc.size].reshape(acc.shape))
+        requantize_epilogue(acc, stage.rq, stage.clamp_lo, stage.clamp_hi,
+                            work, residual)
         self.fused_requant_calls += 1
-
-    def _saved_rows(self, stage: Stage, views: Dict[int, np.ndarray],
-                    n: int, r0: int, r1: int) -> Optional[np.ndarray]:
-        if stage.residual_from is None:
-            return None
-        saved = views[stage.residual_from - 1]
-        return saved.reshape(saved.shape[0] * int(
-            np.prod(saved.shape[1:-1])), saved.shape[-1])[r0:r1]
 
     def _exec_conv(self, rec: Dict, views: Dict[int, np.ndarray],
                    n: int) -> None:
@@ -306,6 +307,7 @@ class ArenaExecutor:
         rpi, ckk, cout = rec["rows_per_image"], rec["ckk"], rec["cout"]
         kernel, stride = rec["kernel"], rec["stride"]
         out2 = out.reshape(n * rpi, cout)
+        out_rows = out.reshape(n, rpi * cout)
         flat_in = (x.reshape(n * h * w, cin)
                    if kernel == 1 and stride == 1 else None)
         for i0 in range(0, n, rec["block_imgs"]):
@@ -331,10 +333,7 @@ class ArenaExecutor:
                 np.copyto(block, windows)
                 lhs = block.reshape(rows, ckk)
             np.einsum(stage.contraction, lhs, stage.w2d, out=acc)
-            acc += stage.bias_fused
-            self._requant_rows(stage, acc,
-                               self._saved_rows(stage, views, n,
-                                                r0, r0 + rows))
+            self._epilogue(rec, views, out_rows, i0, i1)
 
     def _padded_block(self, rec: Dict, x: np.ndarray, i0: int,
                       i1: int) -> np.ndarray:
@@ -396,13 +395,10 @@ class ArenaExecutor:
         np.einsum("ijnhx,ijx->nhx", rows, stage.taps, out=acc)
         if strided is not None:
             np.copyto(out, strided)
-        acc2 = out.reshape(n * rpi, cout)
-        acc2 += stage.bias_fused
-        block_rows = rec["block_rows"]
-        for r0 in range(0, n * rpi, block_rows):
-            r1 = min(n * rpi, r0 + block_rows)
-            self._requant_rows(stage, acc2[r0:r1],
-                               self._saved_rows(stage, views, n, r0, r1))
+        out_rows = out.reshape(n, rpi * cout)
+        for i0 in range(0, n, rec["block_imgs"]):
+            self._epilogue(rec, views, out_rows, i0,
+                           min(n, i0 + rec["block_imgs"]))
 
     def _exec_dense(self, rec: Dict, views: Dict[int, np.ndarray],
                     n: int, logits: np.ndarray) -> None:
@@ -427,7 +423,8 @@ class ArenaExecutor:
         np.sum(x, axis=(1, 2), dtype=np.int64, out=work)
         work += count // 2
         np.floor_divide(work, count, out=work)
-        np.clip(work, stage.clamp_lo, stage.clamp_hi, out=out)
+        np.maximum(work, stage.clamp_lo, out=work)
+        np.minimum(work, stage.clamp_hi, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,13 +506,19 @@ class Program:
     def run_batch_reference(self, x: np.ndarray) -> np.ndarray:
         """Float images -> float logits via the fresh-allocation path.
 
-        The bit-identity oracle for the arena executor.
+        The bit-identity oracle for the arena executor.  Runs
+        :data:`REFERENCE_BLOCK` images at a time: images are
+        independent, so the logits are the same bytes, and the
+        interpreter's temporaries stay one block's size.
         """
-        saved: Dict[int, np.ndarray] = {}
-        out = self.quantize_input(x)
-        for index in range(len(self.stages)):
-            out = self.run_stage(index, out, saved)
-        return out
+        blocks = []
+        for start in range(0, max(int(x.shape[0]), 1), REFERENCE_BLOCK):
+            saved: Dict[int, np.ndarray] = {}
+            out = self.quantize_input(x[start:start + REFERENCE_BLOCK])
+            for index in range(len(self.stages)):
+                out = self.run_stage(index, out, saved)
+            blocks.append(out)
+        return np.concatenate(blocks)
 
     def run(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Float images -> float logits, batched through the arena."""

@@ -29,6 +29,13 @@ the same wherever the contract holds and exact where it does not.  That
 case is real: an activation that calibrates to all zeros gets a
 ``1e-8``-wide grid, and the multiplier into it is ``~2**27``; the output
 must saturate the clamp, as the fake-quant reference does, not wrap.
+
+:func:`requantize` is the reference form, two rounding steps.  The
+engine runs the same arithmetic folded: a :class:`RequantPlan` turns the
+high-mul's rounding, the post-shift's rounding and the zero points into
+one constant, so a stage's epilogue (:func:`requantize_epilogue`) is a
+multiply, an add and a shift, then the clamp — bit-identical, because
+nested floor divisions by powers of two are one floor division.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ IntArray = np.ndarray
 #: accumulator lands at least ``2**29`` codes off zero, beyond every clamp
 #: and pooled mean, so a larger exponent is applied as this one.
 MAX_PRESHIFT = 30
+
+#: the post-shift from which every int32 input requantizes to 0: the
+#: high-mul leaves ``|v| < 2**31``, and ``(v + 2**(n-1)) >> n`` is 0 for
+#: every such ``v`` once ``n >= 32``
+ZERO_SHIFT = 32
 
 
 def quantize_multiplier(m: float) -> Tuple[int, int]:
@@ -108,11 +120,17 @@ def rounding_doubling_high_mul(x: IntArray, q: Union[int, IntArray],
 
 def rounding_right_shift(v: IntArray,
                          n: Union[int, IntArray]) -> IntArray:
-    """``floor(v / 2**n + 1/2)`` — rounding right shift by ``n >= 0``."""
+    """``floor(v / 2**n + 1/2)`` — rounding right shift by ``n >= 0``.
+
+    A shift past 63 is applied as 63: its rounding constant ``1 << 63``
+    would wrap to ``-2**63`` in int64, and at 63 every ``|v| < 2**62``
+    already rounds to 0, as at any larger shift.
+    """
     v = np.asarray(v, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
     if np.any(n < 0):
         raise ValueError("shift amount must be non-negative")
+    n = np.minimum(n, 63)
     # 1 << (n - 1) is invalid at n == 0; mask it out instead of branching
     half = np.where(n > 0, np.left_shift(np.int64(1),
                                          np.maximum(n, 1) - 1), 0)
@@ -142,54 +160,108 @@ def requantize(acc: IntArray, q: Union[int, IntArray],
 
 @dataclass(frozen=True)
 class RequantPlan:
-    """Compile-time decomposition of a requantization multiplier set.
+    """A requantization folded into one multiply, add and shift.
 
-    Splits every per-channel ``(q, shift)`` pair into the exact operands
-    the fused kernel needs at run time — the high-mul's rounding constant
-    and shift (with the positive pre-shift folded in), the negative
-    post-shift, and the post-shift's rounding constant — so the hot path
-    performs no ``maximum``/``where`` work and no int64 temporaries
-    beyond its single reused workspace.
+    ``requantize(x - in_zp, q, shift) + out_zp`` rounds twice (the
+    high-mul, then the post-shift) and adds a zero point.  Since
+    ``floor(floor(x / a) / b) == floor(x / (a*b))`` and
+    ``floor(y / a) + h == floor((y + h*a) / a)`` for positive integers
+    ``a``, ``b``, all of it is one floor division by a power of two::
+
+        (x*q + k) >> s,   s = (31 - pre) + post,
+        k = 2**(30 - pre) + floor(2**(post - 1)) * 2**(31 - pre)
+            - in_zp*q + out_zp * 2**s
+
+    with ``pre``/``post`` the positive/negative parts of ``shift``
+    (``pre`` capped at :data:`MAX_PRESHIFT`).  The sum stays inside int64
+    for every int32 ``x - in_zp`` under two rules, both exact:
+
+    - from a post-shift of :data:`ZERO_SHIFT` every int32 input rounds
+      to 0, so such a channel gets ``q = s = 0`` and its constant is
+      just the zero point;
+    - a zero point folds only where ``(2|out_zp| + 1) * 2**(s - 1) <=
+      2**61`` on every channel (for an 8-bit zero point, at least every
+      post-shift up to 22); otherwise it stays out of ``k`` and ``zp``
+      holds it, to be added after the shift.
+
+    ``q``, ``k`` and ``s`` are tiled ``reps`` times, so a per-channel
+    plan lines up with ``reps`` pixels of channels-last output, or are
+    numpy scalars where every channel shares the value.
     """
 
-    q: np.ndarray          # int64 mantissas
-    round1: np.ndarray     # int64 2**(30 - pre) — the high-mul's rounding
-    shift1: np.ndarray     # int64 31 - pre — the high-mul's right shift
-    sneg: np.ndarray       # int64 max(-shift, 0) — post-shift (right)
-    half: np.ndarray       # int64 rounding constant of the post-shift
+    # int64 arrays, or numpy int64 scalars where every channel agrees
+    q: np.ndarray          # mantissas (0 on a zero-output channel)
+    k: np.ndarray          # folded rounding constants and zero points
+    s: np.ndarray          # total right shifts
+    zp: int = 0            # output zero point left out of k
 
     @classmethod
-    def build(cls, mult, shift) -> "RequantPlan":
+    def build(cls, mult, shift, out_zp: int = 0, in_zp: int = 0,
+              reps: int = 1) -> "RequantPlan":
         q = np.asarray(mult, dtype=np.int64)
         shift = np.asarray(shift, dtype=np.int64)
         pre = np.minimum(np.maximum(shift, 0), MAX_PRESHIFT)
-        sneg = np.maximum(-shift, 0)
-        half = np.where(sneg > 0,
-                        np.left_shift(np.int64(1), np.maximum(sneg, 1) - 1),
+        post = np.maximum(-shift, 0)
+        zero = post >= ZERO_SHIFT
+        post = np.where(zero, 0, post)
+        s = 31 - pre + post
+        half = np.where(post > 0,
+                        np.left_shift(np.int64(1), np.maximum(post, 1) - 1),
                         np.int64(0))
-        # every channel shares pre = 0 unless some M >= 1; a scalar
-        # broadcasts far faster than a short per-channel row
-        return cls(q=q, round1=_shared(np.left_shift(np.int64(1), 30 - pre)),
-                   shift1=_shared(31 - pre), sneg=sneg, half=half)
+        k = (np.left_shift(np.int64(1), 30 - pre)
+             + np.left_shift(half, 31 - pre) - np.int64(in_zp) * q)
+        q, k, s = (np.where(zero, np.int64(0), v) for v in (q, k, s))
+        zp = int(out_zp)
+        if zp and np.all(s + (2 * abs(zp) + 1).bit_length() <= 62):
+            k = k + np.int64(zp) * np.left_shift(np.int64(1), s)
+            zp = 0
+        return cls(q=tiled(q, reps), k=tiled(k, reps), s=tiled(s, reps),
+                   zp=zp)
 
 
-def _shared(values: np.ndarray):
-    """``values``' one value as a numpy scalar when every entry holds it."""
-    first = values.flat[0]
-    return first if np.all(values == first) else values
+def tiled(values: np.ndarray, reps: int):
+    """``values``' one value as a numpy scalar when every entry holds it,
+    else ``values`` tiled ``reps`` times (a new, read-only array).
 
-
-def requantize_into(acc: IntArray, plan: RequantPlan,
-                    work: IntArray) -> IntArray:
-    """Fused, allocation-free :func:`requantize` into an int64 workspace.
-
-    Bit-identical to ``requantize(acc, q, shift)``, with every step in
-    place on ``work``.  ``work`` must have ``acc``'s (broadcast) shape;
-    the caller adds the output zero point and clamps.
+    A scalar broadcasts far faster than a row, and a per-channel row
+    tiled over an image's pixels lines up with its channels-last output.
     """
-    np.multiply(acc, plan.q, out=work)
-    np.add(work, plan.round1, out=work)
-    np.right_shift(work, plan.shift1, out=work)
-    np.add(work, plan.half, out=work)
-    np.right_shift(work, plan.sneg, out=work)
+    first = values.flat[0]
+    if np.all(values == first):
+        return first
+    rows = np.tile(values, reps)
+    rows.flags.writeable = False
+    return rows
+
+
+def requantize_into(x: IntArray, plan: RequantPlan,
+                    work: IntArray) -> IntArray:
+    """``requantize(x - in_zp, q, shift) + out_zp`` into an int64 ``work``.
+
+    Three in-place passes (four where the zero point did not fold),
+    bit-identical to the reference.  ``work`` must have ``x``'s
+    (broadcast) shape; ``x`` may be ``work`` itself.
+    """
+    np.multiply(x, plan.q, out=work)
+    np.add(work, plan.k, out=work)
+    np.right_shift(work, plan.s, out=work)
+    if plan.zp:
+        np.add(work, plan.zp, out=work)
     return work
+
+
+def requantize_epilogue(acc: IntArray, plan: RequantPlan, lo: int, hi: int,
+                        work: IntArray, residual=None) -> None:
+    """A stage's output codes, written over its int32 accumulators.
+
+    ``acc`` becomes ``clip(requantize(acc) [+ requantize(saved -
+    res_zp)] + out_zp, lo, hi)``, the reference's chain, through the
+    int64 workspace ``work`` (``acc``'s shape).  ``residual`` is
+    ``(saved, res_plan, res_work)`` for a stage that adds a saved input.
+    """
+    requantize_into(acc, plan, work)
+    if residual is not None:
+        saved, res_plan, res_work = residual
+        np.add(work, requantize_into(saved, res_plan, res_work), out=work)
+    np.maximum(work, lo, out=work)
+    np.minimum(work, hi, out=acc)

@@ -6,12 +6,14 @@ observability counters, and one Program shared by many threads."""
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.infer import compile_model
-from repro.infer.engine import BLOCK_ELEMS, ArenaExecutor, Program
+from repro.infer.engine import (BLOCK_ELEMS, REFERENCE_BLOCK, ArenaExecutor,
+                                Program)
 from repro.nn.conv import Conv2D, DepthwiseConv2D
 from repro.nn.layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 from repro.nn.network import Sequential
@@ -153,6 +155,77 @@ class TestBlocking:
             assert (rec["block_imgs"] == 1
                     or rec["block_imgs"] * per_image <= BLOCK_ELEMS), \
                 rec["stage"].name
+
+    def test_dw_blocks_hold_whole_images(self, program8):
+        """A depthwise stage blocks its epilogue by the conv's rule: as
+        many whole images as fit in BLOCK_ELEMS, or exactly one."""
+        executor = program8.executor(256)
+        dws = [rec for rec in executor._records
+               if rec["stage"].kind == "dw"]
+        assert dws
+        for rec in dws:
+            per_image = rec["rows_per_image"] * rec["cout"]
+            images = rec["block_imgs"]
+            assert images == 1 or images * per_image <= BLOCK_ELEMS, \
+                rec["stage"].name
+            assert images == 256 or (images + 1) * per_image > BLOCK_ELEMS
+        assert any(rec["block_imgs"] < 256 for rec in dws)   # real blocks
+
+    def test_epilogue_runs_on_whole_image_rows(self, program8,
+                                               infer_dataset, monkeypatch):
+        """Every conv and dw epilogue call covers whole images, one
+        ``ho*wo*cout`` row each, in blocks of ``block_imgs``."""
+        from repro.infer import engine
+
+        calls = []
+        real = engine.requantize_epilogue
+
+        def spy(acc, plan, *args):
+            calls.append((id(plan), acc.shape))
+            return real(acc, plan, *args)
+
+        monkeypatch.setattr(engine, "requantize_epilogue", spy)
+        executor = ArenaExecutor(program8, 256)
+        logits = np.empty((256, 10), dtype=np.float32)
+        executor.run_batch_into(infer_dataset.x_train, logits)
+        np.testing.assert_array_equal(
+            logits, program8.run_batch_reference(infer_dataset.x_train))
+        for rec in executor._records:
+            stage = rec["stage"]
+            if stage.kind not in ("conv", "dw"):
+                continue
+            shapes = [shape for plan, shape in calls
+                      if plan == id(stage.rq)]
+            full, tail = divmod(256, rec["block_imgs"])
+            expected = [rec["block_imgs"]] * full + ([tail] if tail else [])
+            assert [images for images, _ in shapes] == expected, stage.name
+            assert {width for _, width in shapes} == {
+                rec["rows_per_image"] * rec["cout"]}, stage.name
+
+
+class TestReferenceInterpreter:
+    """``run_batch_reference`` runs REFERENCE_BLOCK images at a time."""
+
+    def test_blocks_keep_the_bytes(self, program8, infer_dataset):
+        x = infer_dataset.x_train[:37]
+        np.testing.assert_array_equal(
+            program8.run_batch_reference(x),
+            np.concatenate([program8.run_batch_reference(x[i:i + 1])
+                            for i in range(x.shape[0])]))
+        assert program8.run_batch_reference(x[:0]).shape == (0, 10)
+
+    def test_peak_memory_is_one_block(self, program8, infer_dataset):
+        x = infer_dataset.x_train[:64]
+        program8.run_batch_reference(x[:REFERENCE_BLOCK])       # warm up
+        peaks = {}
+        for n in (REFERENCE_BLOCK, 64):
+            tracemalloc.start()
+            try:
+                program8.run_batch_reference(x[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.25 * peaks[REFERENCE_BLOCK], peaks
 
 
 class TestExecutorContract:
@@ -312,6 +385,28 @@ class TestSharedProgram:
             for name, array in _stage_arrays(stage):
                 assert not array.flags.writeable, (stage.name, name)
                 np.testing.assert_array_equal(array, before[(i, name)])
+
+    def test_tiled_operands_are_read_only(self, program8):
+        """The epilogue operands of a conv or dw stage are tiled along one
+        image's output or are shared scalars; the tiles are read-only,
+        so the hammer above also checks they never change."""
+        tiles = 0
+        for stage in program8.stages:
+            if stage.kind not in ("conv", "dw"):
+                continue
+            pixels, cout = stage.out_shape[0] * stage.out_shape[1], \
+                stage.out_shape[2]
+            for operand in (stage.bias_fused, stage.rq.q, stage.rq.k,
+                            stage.rq.s):
+                if isinstance(operand, np.generic):
+                    continue
+                tiles += 1
+                assert operand.shape == (pixels * cout,), stage.name
+                assert not operand.flags.writeable, stage.name
+                rows = operand.reshape(pixels, cout)
+                np.testing.assert_array_equal(rows, np.tile(rows[0],
+                                                            (pixels, 1)))
+        assert tiles
 
     def test_stages_and_program_are_frozen(self, program8):
         stage = program8.stages[0]

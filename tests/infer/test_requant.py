@@ -1,4 +1,7 @@
-"""Unit tests for the fixed-point requantization primitives."""
+"""Unit tests for the fixed-point requantization primitives and the
+folded epilogue the engine runs."""
+
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +61,13 @@ class TestRoundingPrimitives:
     def test_right_shift_zero_is_identity(self):
         v = np.array([3, -3], dtype=np.int64)
         np.testing.assert_array_equal(rounding_right_shift(v, 0), v)
+
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_right_shift_past_63_rounds_to_zero(self, n):
+        """``1 << 63`` wraps in int64; shifts past 63 must still round
+        every ``|v| < 2**62`` to 0."""
+        v = np.array([-(2 ** 40), -5, -1, 0, 1, 5, 2 ** 40], dtype=np.int64)
+        np.testing.assert_array_equal(rounding_right_shift(v, n), 0)
 
     def test_right_shift_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -203,3 +213,130 @@ class TestRequantizeInto:
         work = vals.astype(np.int64)
         got = requantize_into(work, plan, work)
         np.testing.assert_array_equal(got, requantize(vals, qs, shifts))
+
+
+INT32_MIN, INT32_MAX = -(2 ** 31), 2 ** 31 - 1
+
+#: multipliers from 1e-12 to 2**40, drawn by binary exponent so every
+#: post-shift regime turns up: the zero-output rule (post-shift >= 32),
+#: the unfolded zero point (post-shift 23-31), degenerate 0 and the
+#: ~2**27 multiplier into an all-zero activation's grid
+MULTIPLIERS = st.one_of(
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+              st.integers(-38, 40)),
+    st.just(0.0),
+    st.floats(1.0e8, 2.0e8),
+    st.floats(1e-12, 2.0 ** 40),
+)
+ACCUMULATORS = st.one_of(st.integers(INT32_MIN, INT32_MAX),
+                         st.sampled_from([INT32_MIN, INT32_MAX, -1, 0, 1]))
+
+
+def _reference_chain(acc, mult, shift, out_zp, lo, hi, residual=None):
+    """The reference interpreter's epilogue (``Program.run_stage``)."""
+    out = requantize(acc.astype(np.int64), mult, shift)
+    if residual is not None:
+        saved, res_mult, res_shift, res_zp = residual
+        out = out + requantize((saved - np.int32(res_zp)).astype(np.int64),
+                               res_mult, res_shift)
+    return np.clip(out + out_zp, lo, hi)
+
+
+def _epilogue(acc, mult, shift, out_zp, lo, hi, pixels, residual=None):
+    """The engine's epilogue over ``(images, pixels*cout)`` rows."""
+    from repro.infer.requant import RequantPlan, requantize_epilogue
+    images = acc.shape[0]
+    rows = acc.reshape(images, -1).copy()
+    plan = RequantPlan.build(mult, shift, out_zp=out_zp, reps=pixels)
+    res = None
+    if residual is not None:
+        saved, res_mult, res_shift, res_zp = residual
+        res = (saved.reshape(images, -1),
+               RequantPlan.build(res_mult, res_shift, in_zp=res_zp),
+               np.empty(rows.shape, dtype=np.int64))
+    requantize_epilogue(rows, plan, lo, hi,
+                        np.empty(rows.shape, dtype=np.int64), res)
+    return rows.reshape(acc.shape)
+
+
+class TestEpilogue:
+    """The folded epilogue equals ``clip(requantize(acc) [+
+    requantize(saved - res_zp)] + zp, lo, hi)`` bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_reference_chain(self, data):
+        images = data.draw(st.integers(1, 3), label="images")
+        pixels = data.draw(st.integers(1, 3), label="pixels")
+        cout = data.draw(st.integers(1, 4), label="cout")
+        ms = data.draw(st.lists(MULTIPLIERS, min_size=cout, max_size=cout),
+                       label="multipliers")
+        mult, shift = quantize_multipliers(np.array(ms))
+        size = images * pixels * cout
+        acc = np.array(data.draw(st.lists(ACCUMULATORS, min_size=size,
+                                          max_size=size), label="acc"),
+                       dtype=np.int32).reshape(images, pixels, cout)
+        out_zp = data.draw(st.integers(0, 255), label="out_zp")
+        lo = data.draw(st.one_of(st.just(INT32_MIN), st.integers(0, 255)),
+                       label="lo")
+        hi = data.draw(st.one_of(st.just(INT32_MAX),
+                                 st.integers(max(lo, 0), 255)), label="hi")
+        residual = None
+        if data.draw(st.booleans(), label="residual"):
+            (res_mult,), (res_shift,) = quantize_multipliers(
+                np.array([data.draw(MULTIPLIERS, label="res_m")]))
+            saved = np.array(data.draw(
+                st.lists(st.integers(0, 255), min_size=size,
+                         max_size=size), label="saved"),
+                dtype=np.int32).reshape(acc.shape)
+            residual = (saved, int(res_mult), int(res_shift),
+                        data.draw(st.integers(0, 255), label="res_zp"))
+        np.testing.assert_array_equal(
+            _epilogue(acc, mult, shift, out_zp, lo, hi, pixels, residual),
+            _reference_chain(acc, mult, shift, out_zp, lo, hi, residual))
+
+    EXTREMES = np.array([[INT32_MIN, -1785, -1, 0, 1, 1785, INT32_MAX]],
+                        dtype=np.int32).reshape(1, 7, 1)
+
+    @pytest.mark.parametrize("m", [2.0 ** -32.5, 2.0 ** -40, 2.0 ** -70])
+    def test_post_shift_from_32_outputs_the_zero_point(self, m):
+        """Every int32 accumulator requantizes to 0; the folded constant
+        could not have held ``2**(post + 30)`` in int64."""
+        from repro.infer.requant import ZERO_SHIFT, RequantPlan
+        mult, shift = quantize_multipliers(np.array([m]))
+        assert -shift[0] >= ZERO_SHIFT
+        plan = RequantPlan.build(mult, shift, out_zp=9)
+        assert (plan.q, plan.s, plan.k) == (0, 0, 9)
+        out = _epilogue(self.EXTREMES, mult, shift, 9, 0, 255, 7)
+        np.testing.assert_array_equal(out, 9)
+        np.testing.assert_array_equal(
+            out, _reference_chain(self.EXTREMES, mult, shift, 9, 0, 255))
+
+    @pytest.mark.parametrize("post, folds", [(5, True), (22, True),
+                                             (23, False), (31, False)])
+    def test_zero_point_folds_only_where_int64_holds_it(self, post, folds):
+        from repro.infer.requant import RequantPlan
+        mult, shift = quantize_multipliers(np.array([0.75 * 2.0 ** -post]))
+        assert -shift[0] == post
+        plan = RequantPlan.build(mult, shift, out_zp=255)
+        assert plan.zp == (0 if folds else 255)
+        np.testing.assert_array_equal(
+            _epilogue(self.EXTREMES, mult, shift, 255, INT32_MIN,
+                      INT32_MAX, 7),
+            _reference_chain(self.EXTREMES, mult, shift, 255, INT32_MIN,
+                             INT32_MAX))
+
+    def test_operands_tile_along_pixels(self):
+        """Per-channel operands tile to ``pixels*cout``; a value every
+        channel shares stays a numpy scalar."""
+        from repro.infer.requant import RequantPlan
+        mult, shift = quantize_multipliers(np.array([0.3, 0.01, 0.02]))
+        plan = RequantPlan.build(mult, shift, out_zp=3, reps=4)
+        for operand in (plan.q, plan.k, plan.s):
+            assert operand.shape == (12,) and not operand.flags.writeable
+            np.testing.assert_array_equal(operand.reshape(4, 3),
+                                          np.tile(operand[:3], (4, 1)))
+        shared = RequantPlan.build(mult[:1].repeat(3), shift[:1].repeat(3),
+                                   reps=4)
+        assert all(isinstance(v, np.int64)
+                   for v in (shared.q, shared.k, shared.s))

@@ -1,5 +1,6 @@
 """Bad command-line input is refused in one line before any work starts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from repro import cli
 from repro.obs import profile
 from repro.parallel import RetryPolicy
 from repro.obs.trace import read_events
+from repro.resilience.checkpoint import CHECKPOINT_SCHEMA_VERSION
 
 SEARCH = ["search", "--scale", "unit", "--no-final-training", "--quiet",
           "--trace-dir", "run", "--checkpoint-dir", "ckpt",
@@ -127,6 +129,27 @@ class TestNotARun:
         assert message.startswith(f"{command} failed: ")
         assert str(path) in message and "\n" not in message
         assert "not a search result" in message
+
+    @pytest.mark.parametrize("payload", [
+        {"optimizer": 1},
+        {"schema": CHECKPOINT_SCHEMA_VERSION, "config": {}, "batch_size": 1,
+         "total_trials": 1, "batch_index": 0, "trials": [],
+         "optimizer": {"seed_given": True, "rng_state": None},
+         "dataset_spec": {"name": "x"}},
+    ], ids=["fields-missing", "config-empty"])
+    def test_export_of_a_checkpoint_that_is_not_one(self, payload,
+                                                    tmp_path):
+        """A payload with an ``optimizer`` key is read as a checkpoint;
+        whatever it lacks, export names the file in one line."""
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["export", str(path)])
+        message = info.value.code
+        assert isinstance(message, str), message     # exit status 1
+        assert message.startswith(
+            f"export failed: {path}: invalid checkpoint")
+        assert "\n" not in message
 
     def test_inspect_of_a_missing_file(self, tmp_path):
         missing = tmp_path / "missing.json"
