@@ -20,7 +20,9 @@
 #   2. schema validation of a freshly traced+profiled run's events.jsonl
 #      (exercises the full span/metric/profile event surface), then that
 #      run's `repro report` with its hotspot table, so every CI log shows
-#      where training time goes
+#      where training time goes; then the same for an alloc-mode profiled
+#      run at trial batch 1, where the GP fits (its `gp.lml` line) and the
+#      phase events carry memory figures
 #   3. serving smoke test (HTTP round trip against a live daemon,
 #      concurrent clients, bit-identity vs serial inference, clean drain,
 #      the daemon's events.jsonl validated and rendered by `repro report`)
@@ -63,6 +65,12 @@ python scripts/check_schema.py "$TMP_RUN/run"
 
 echo "== report: that run's dashboard and hotspot table =="
 python -m repro report "$TMP_RUN/run"
+
+echo "== schema and report: alloc-mode profiled run, trial batch 1 =="
+python -m repro search --scale unit --no-final-training --trial-batch 1 \
+    --profile alloc --trace-dir "$TMP_RUN/alloc" --quiet
+python scripts/check_schema.py "$TMP_RUN/alloc"
+python -m repro report "$TMP_RUN/alloc"
 
 echo "== serve smoke =="
 python scripts/serve_smoke.py

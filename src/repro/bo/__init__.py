@@ -8,8 +8,8 @@ from .gp import GaussianProcess
 from .kernels import (KERNELS, RBF, Exponential, Kernel, Matern32, Matern52,
                       make_kernel)
 from .optimizer import BayesianOptimizer
-from .pareto import (best_accuracy_under, dominates, front_dominates_at_size,
-                     hypervolume, pareto_front, pareto_indices)
+from .pareto import (best_accuracy_under, dominates, hypervolume,
+                     pareto_front, pareto_indices)
 from .scalarization import (ScalarizationConfig, equal_score_accuracy,
                             scalarize)
 
@@ -21,5 +21,5 @@ __all__ = [
     "PosteriorMean", "make_acquisition", "ACQUISITIONS",
     "ScalarizationConfig", "scalarize", "equal_score_accuracy",
     "dominates", "pareto_indices", "pareto_front", "hypervolume",
-    "best_accuracy_under", "front_dominates_at_size",
+    "best_accuracy_under",
 ]

@@ -39,6 +39,7 @@ class GaussianProcess:
         self.noise = noise
         self._x: Optional[np.ndarray] = None
         self._alpha: Optional[np.ndarray] = None
+        self._y_standardized: Optional[np.ndarray] = None
         self._cho = None
         self._y_mean = 0.0
         self._y_std = 1.0
@@ -79,6 +80,7 @@ class GaussianProcess:
                 "Gram matrix not PSD even after jitter ladder")
         self._cho = (factor, True)
         self._alpha = cho_solve(self._cho, y_standardized)
+        self._y_standardized = y_standardized
         self._x = x
 
     def predict(self, x_new: np.ndarray,
@@ -101,46 +103,18 @@ class GaussianProcess:
         std = np.sqrt(var) * self._y_std
         return mean, std
 
-    def tune_length_scale(self, x: np.ndarray, y: np.ndarray,
-                          candidates: Optional[np.ndarray] = None) -> float:
-        """Pick the kernel length scale maximizing marginal likelihood.
-
-        Grid search (exact GPs are cheap at NAS trial counts); refits the
-        model at the winning scale and returns it.
-        """
-        if candidates is None:
-            candidates = np.geomspace(0.02, 2.0, 10)
-        best_scale, best_lml = None, -np.inf
-        original = self.kernel.length_scale
-        for scale in candidates:
-            self.kernel.length_scale = float(scale)
-            try:
-                self.fit(x, y)
-            except np.linalg.LinAlgError:
-                continue
-            lml = self.log_marginal_likelihood()
-            if lml > best_lml:
-                best_scale, best_lml = float(scale), lml
-        if best_scale is None:
-            self.kernel.length_scale = original
-            self.fit(x, y)
-            return original
-        self.kernel.length_scale = best_scale
-        self.fit(x, y)
-        return best_scale
-
     def log_marginal_likelihood(self) -> float:
-        """Log marginal likelihood of the standardized targets."""
+        """Log marginal likelihood of the standardized targets.
+
+        Computed from the fitted model itself: its Cholesky factor holds
+        the Gram matrix plus the jitter the fit settled on, so the value
+        describes the model :meth:`predict` uses even where the jitter
+        ladder escalated past ``noise``.
+        """
         if not self.fitted:
             raise RuntimeError("model not fitted")
         factor = self._cho[0]
-        n = self._x.shape[0]
-        y_std = self._alpha  # alpha = K^-1 y; need y^T alpha
-        # recover standardized y from alpha: y = K alpha, but cheaper to
-        # store? y^T K^-1 y = alpha^T K alpha = (K alpha)^T alpha
-        gram = self.kernel(self.distance_fn(self._x, self._x))
-        gram = gram + self.noise * np.eye(n)
-        y_vec = gram @ y_std
-        data_fit = -0.5 * float(y_vec @ y_std)
+        n = self._y_standardized.shape[0]
+        data_fit = -0.5 * float(self._y_standardized @ self._alpha)
         log_det = -float(np.log(np.diag(factor)).sum())
         return data_fit + log_det - 0.5 * n * np.log(2 * np.pi)

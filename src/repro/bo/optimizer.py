@@ -192,10 +192,9 @@ class BayesianOptimizer:
         self.gp.fit(np.stack(self._encodings), np.asarray(self._scores))
         recorder = get_recorder()
         if recorder.enabled:
-            recorder.gauge("gp.length_scale", self.kernel.length_scale,
+            recorder.gauge("gp.lml", self.gp.log_marginal_likelihood(),
                            n_obs=self.n_observations,
                            n_fantasies=self._fantasy_count)
-            recorder.gauge("gp.lml", self.gp.log_marginal_likelihood())
         pool = self._build_pool()
         if not pool:
             return self._unseen_random()

@@ -86,20 +86,6 @@ def hypervolume(front: Sequence[Tuple[float, float]],
     return volume
 
 
-def front_dominates_at_size(front_a: Sequence[Tuple[float, float]],
-                            front_b: Sequence[Tuple[float, float]],
-                            max_size: float) -> bool:
-    """True if front A's best accuracy under ``max_size`` beats front B's.
-
-    The paper's claims are of this form ("QAFT-aware NAS yields better
-    results, especially on the left-hand side"): restrict both fronts to
-    models at or below a size budget and compare the best accuracy.
-    """
-    best_a = best_accuracy_under(front_a, max_size)
-    best_b = best_accuracy_under(front_b, max_size)
-    return best_a > best_b
-
-
 def best_accuracy_under(front: Sequence[Tuple[float, float]],
                         max_size: float) -> float:
     """Best accuracy among front points with size <= ``max_size``.

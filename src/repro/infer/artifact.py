@@ -40,9 +40,6 @@ from .engine import Program
 ARTIFACT_MAGIC = b"BOMPDEPL"
 ARTIFACT_VERSION = 1
 
-#: default artifact filename extension
-ARTIFACT_SUFFIX = ".bomp"
-
 
 class ArtifactError(ValueError):
     """An artifact file is malformed or inconsistent with its model."""
@@ -289,14 +286,6 @@ class ArtifactCache:
         if recorder.enabled:
             recorder.counter("infer.artifact_cache.misses")
         return entry
-
-    def invalidate(self, path: Union[str, Path]) -> None:
-        """Drop the entry currently associated with ``path`` (if any)."""
-        key = str(Path(path).resolve())
-        with self._lock:
-            digest = self._path_digest.pop(key, None)
-            if digest is not None:
-                self._entries.pop(digest, None)
 
     def clear(self) -> None:
         with self._lock:

@@ -36,9 +36,9 @@ Threading: a :class:`Program` is immutable and may be shared by any
 number of threads; an executor belongs to one thread.
 
 Execution is instrumented with :mod:`repro.obs`: a span per batch, a span
-per stage (op kind and output shape in the tags), and counters for
-images, MACs and fused-requant invocations, plus an
-``infer.arena_bytes`` gauge when an executor is built.
+per stage (op kind and output shape in the tags), an ``infer.images``
+counter per batch, and an ``infer.arena_bytes`` gauge when an executor
+is built.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ BLOCK_ELEMS = 512 * 1024 // 4
 
 #: images the reference interpreter runs at a time
 REFERENCE_BLOCK = 16
+
+
+def input_codes(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Float images -> int32 codes on the input ``grid`` (reference ADC)."""
+    q = np.clip(np.round(x / grid.scale + grid.zero_point),
+                0, grid.n_levels)
+    return q.astype(np.int32)
 
 
 class ArenaExecutor:
@@ -94,15 +101,17 @@ class ArenaExecutor:
             raise ValueError(
                 "ArenaExecutor needs a program ending in a Dense "
                 "classifier (float logits output)")
-        self.program = program
+        # the stages and grid, not the Program: the Program caches its
+        # executors, and a reference back would keep both alive until the
+        # cyclic garbage collector runs
+        self.stages = program.stages
+        self.input_grid = program.input_grid
         self.batch = int(batch_size)
         if self.batch < 1:
             raise ValueError("batch size must be >= 1")
         self.plan: ArenaPlan = plan_arena(program.stages)
 
-        self.alloc_count = 0          # buffer allocations (all at build)
-        self.alloc_bytes = 0
-        self.fused_requant_calls = 0
+        self.alloc_bytes = 0          # every buffer is allocated at build
 
         self._records = [self._make_record(i, stage)
                          for i, stage in enumerate(program.stages)]
@@ -116,7 +125,6 @@ class ArenaExecutor:
     # -- construction ---------------------------------------------------------
     def _new(self, elems: int, dtype) -> np.ndarray:
         buf = np.empty(max(int(elems), 0), dtype=dtype)
-        self.alloc_count += 1
         self.alloc_bytes += buf.nbytes
         return buf
 
@@ -179,7 +187,7 @@ class ArenaExecutor:
                 classes = stage.out_shape[0]
                 acc32 = max(acc32, B * classes)
                 self._fout_elems = B * classes
-        in_elems = int(np.prod(self.program.stages[0].in_shape))
+        in_elems = int(np.prod(self.stages[0].in_shape))
         self.acts = self._new(self.plan.total_elems * B, np.int32)
         self.pad = self._new(pad, np.int32)
         self.col = self._new(col, np.int32)
@@ -226,14 +234,14 @@ class ArenaExecutor:
         n = int(codes.shape[0])
         views = self._views_for(n)
         for index in range(start, stop):
-            source = self.program.stages[index].residual_from
+            source = self.stages[index].residual_from
             if source is not None and source < start:
                 np.copyto(views[source - 1], saved[source])
         np.copyto(views[start - 1], codes)
         if stop < len(self._records):
             self._run_stages(views, n, start, stop, None)
             return views[stop - 1].copy()
-        logits = np.empty((n, self.program.stages[-1].out_shape[0]),
+        logits = np.empty((n, self.stages[-1].out_shape[0]),
                           dtype=np.float32)
         self._run_stages(views, n, start, stop, logits)
         return logits
@@ -252,10 +260,10 @@ class ArenaExecutor:
 
     def _quantize_input(self, x: np.ndarray, codes: np.ndarray) -> None:
         with prof.kernel("infer.quantize_input"):
-            grid = self.program.input_grid
+            grid = self.input_grid
             if x.dtype != np.float32:
                 # off the planned path: reproduce the reference dtype exactly
-                np.copyto(codes, self.program.quantize_input(x))
+                np.copyto(codes, input_codes(grid, x))
                 return
             scratch = self.fin[:x.size].reshape(x.shape)
             np.divide(x, grid.scale, out=scratch)
@@ -296,7 +304,6 @@ class ArenaExecutor:
                         self.work_res[:acc.size].reshape(acc.shape))
         requantize_epilogue(acc, stage.rq, stage.clamp_lo, stage.clamp_hi,
                             work, residual)
-        self.fused_requant_calls += 1
 
     def _exec_conv(self, rec: Dict, views: Dict[int, np.ndarray],
                    n: int) -> None:
@@ -447,10 +454,7 @@ class Program:
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
         """Float images -> int32 input codes (the off-hot-path ADC step)."""
-        grid = self.input_grid
-        q = np.clip(np.round(x / grid.scale + grid.zero_point),
-                    0, grid.n_levels)
-        return q.astype(np.int32)
+        return input_codes(self.input_grid, x)
 
     def executor(self, batch_size: int) -> ArenaExecutor:
         """The calling thread's cached executor for ``batch_size`` images."""
@@ -527,7 +531,6 @@ class Program:
         executor = self.executor(min(batch_size, max(n, 1)))
         logits = np.empty((n, self.stages[-1].out_shape[0]),
                           dtype=np.float32)
-        fused_before = executor.fused_requant_calls
         for start in range(0, n, batch_size):
             batch = x[start:start + batch_size]
             with recorder.span("infer.batch", images=int(batch.shape[0])):
@@ -535,11 +538,6 @@ class Program:
                     batch, logits[start:start + batch.shape[0]])
             if recorder.enabled:
                 recorder.counter("infer.images", int(batch.shape[0]))
-                recorder.counter("infer.macs",
-                                 self.total_macs() * int(batch.shape[0]))
-        if recorder.enabled:
-            recorder.counter("infer.requant_fused",
-                             executor.fused_requant_calls - fused_before)
         return logits
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:

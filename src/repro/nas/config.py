@@ -21,7 +21,7 @@ protocol (100 trials, 20 early epochs + 1 QAFT, 200 + 5 final).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..bo.acquisition import ACQUISITIONS
@@ -140,6 +140,13 @@ def get_scale(name: Optional[str] = None) -> ScalePreset:
     return SCALE_PRESETS[name]
 
 
+#: peak learning rate of early and final training (Adam, cosine decay)
+LEARNING_RATE = 0.01
+
+#: constant learning rate of quantization-aware fine-tuning (SGD)
+QAFT_LEARNING_RATE = 0.002
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Everything a BOMP-NAS run needs besides the dataset itself."""
@@ -150,9 +157,6 @@ class SearchConfig:
     scalarization: ScalarizationConfig = field(
         default_factory=ScalarizationConfig)
     seed: int = 0
-    optimizer: str = "adam"  # "adam" converges fastest at early-training
-    learning_rate: float = 0.01
-    qaft_learning_rate: float = 0.002
     policies_per_trial: int = 1  # paper future-work extension when > 1
     kernel: str = "matern52"
     acquisition: str = "ucb"
@@ -161,10 +165,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.dataset not in ("cifar10", "cifar100"):
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.learning_rate <= 0 or self.qaft_learning_rate <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for field_name, choices in (("kernel", KERNELS),
                                     ("acquisition", ACQUISITIONS),
                                     ("observer", OBSERVERS)):
@@ -176,9 +176,6 @@ class SearchConfig:
         if self.policies_per_trial > 1 and not self.mode.search_policy:
             raise ValueError(
                 "policies_per_trial > 1 requires an MP search mode")
-
-    def with_mode(self, mode_name: str) -> "SearchConfig":
-        return replace(self, mode=get_mode(mode_name))
 
     def describe(self) -> str:
         return (f"{self.mode.name} on {self.dataset} "

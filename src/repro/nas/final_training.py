@@ -23,6 +23,7 @@ from ..quant.apply import apply_policy, calibrate
 from ..quant.qaft import quantization_aware_finetune
 from ..quant.size import model_size_bits
 from ..space.builder import build_model, count_macs
+from .config import QAFT_LEARNING_RATE
 from .trial import FinalModelResult, TrialResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,7 +88,7 @@ def materialize_final_model(nas: "BOMPNAS", trial: TrialResult,
     if qaft_epochs > 0:
         quantization_aware_finetune(
             model, dataset.x_train, dataset.y_train, epochs=qaft_epochs,
-            learning_rate=config.qaft_learning_rate,
+            learning_rate=QAFT_LEARNING_RATE,
             batch_size=scale.batch_size, rng=rng)
     _, accuracy = evaluate_classifier(model, dataset.x_test, dataset.y_test)
     size = model_size_bits(model)

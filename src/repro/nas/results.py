@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..bo.pareto import pareto_front, pareto_indices
 from .config import (SCALE_PRESETS, ScalarizationConfig, ScalePreset,
@@ -29,6 +29,7 @@ def config_to_dict(config: SearchConfig) -> Dict:
         "scale_params": asdict(config.scale),
         "ref_accuracy": config.scalarization.ref_accuracy,
         "ref_model_size": config.scalarization.ref_model_size,
+        "ref_macs": config.scalarization.ref_macs,
         "seed": config.seed,
         "policies_per_trial": config.policies_per_trial,
         "kernel": config.kernel,
@@ -38,7 +39,12 @@ def config_to_dict(config: SearchConfig) -> Dict:
 
 
 def config_from_dict(raw: Dict) -> SearchConfig:
-    """Inverse of :func:`config_to_dict` (tolerates pre-PR-1 payloads)."""
+    """Inverse of :func:`config_to_dict`.
+
+    Tolerates older payloads: keys added since (``scale_params``,
+    ``policies_per_trial``, ``kernel``, ``acquisition``, ``observer``,
+    ``ref_macs``) fall back to the values those runs used.
+    """
     if "scale_params" in raw:
         scale = ScalePreset(**raw["scale_params"])
     else:
@@ -48,7 +54,8 @@ def config_from_dict(raw: Dict) -> SearchConfig:
         scale=scale,
         scalarization=ScalarizationConfig(
             ref_accuracy=raw["ref_accuracy"],
-            ref_model_size=raw["ref_model_size"]),
+            ref_model_size=raw["ref_model_size"],
+            ref_macs=raw.get("ref_macs")),
         seed=raw["seed"],
         policies_per_trial=raw.get("policies_per_trial", 1),
         kernel=raw.get("kernel", "matern52"),
@@ -92,9 +99,6 @@ class SearchResult:
 
     def final_training_gpu_hours(self) -> float:
         return sum(m.gpu_hours for m in self.final_models)
-
-    def total_gpu_hours(self) -> float:
-        return self.search_gpu_hours() + self.final_training_gpu_hours()
 
     # -- summaries ----------------------------------------------------------
     def best_trial(self) -> TrialResult:

@@ -36,7 +36,7 @@ from ..bo.scalarization import scalarize
 from ..data.datasets import Dataset
 from ..nn.losses import evaluate_classifier
 from ..nn.network import Sequential
-from ..nn.optim import SGD, Adam, CosineDecayLR, Optimizer
+from ..nn.optim import Adam, CosineDecayLR, Optimizer
 from ..nn.serialization import load_state_dict, state_dict
 from ..nn.trainer import Trainer
 from ..obs import profile
@@ -55,9 +55,9 @@ from ..quant.size import model_size_bits
 from ..space.builder import build_model, count_macs
 from ..space.genome import MixedPrecisionGenome
 from ..space.space import SearchSpace
-from .config import SearchConfig
+from .config import LEARNING_RATE, QAFT_LEARNING_RATE, SearchConfig
 from .cost import CostModel
-from .results import SearchResult, config_to_dict
+from .results import SearchResult, config_from_dict, config_to_dict
 from .trial import TrialResult
 
 ProgressFn = Callable[[TrialResult], None]
@@ -141,14 +141,14 @@ class BOMPNAS:
 
     def make_training_optimizer(self, model: Sequential,
                                 epochs: int) -> Optimizer:
-        """The full-precision training optimizer (early & final training)."""
+        """The full-precision training optimizer (early & final training):
+        Adam, which converges fastest in early training, under cosine
+        decay."""
         scale = self.config.scale
         steps_per_epoch = -(-scale.n_train // scale.batch_size)
-        schedule = CosineDecayLR(self.config.learning_rate,
+        schedule = CosineDecayLR(LEARNING_RATE,
                                  max(1, epochs * steps_per_epoch))
-        if self.config.optimizer == "adam":
-            return Adam(model.parameters(), schedule)
-        return SGD(model.parameters(), schedule)
+        return Adam(model.parameters(), schedule)
 
     # -- candidate evaluation (steps 2-5a of Fig. 1) -------------------------
     def early_train(self, genome: MixedPrecisionGenome,
@@ -197,7 +197,7 @@ class BOMPNAS:
                 quantization_aware_finetune(
                     model, self.dataset.x_train, self.dataset.y_train,
                     epochs=scale.qaft_epochs,
-                    learning_rate=self.config.qaft_learning_rate,
+                    learning_rate=QAFT_LEARNING_RATE,
                     batch_size=scale.batch_size, rng=rng)
             qaft_seconds = qaft_span.duration
         with recorder.span("eval", kind="phase") as eval_span:
@@ -309,10 +309,14 @@ class BOMPNAS:
         """
         checkpoint = load_checkpoint(resume_from)
         expected = config_to_dict(self.config)
-        if checkpoint.config != expected:
-            mismatched = sorted(
-                key for key in set(expected) | set(checkpoint.config)
-                if expected.get(key) != checkpoint.config.get(key))
+        # normalized, so a key the checkpoint predates reads as its
+        # default; a key this code does not write is a mismatch
+        with restoring_from(resume_from):
+            recorded = config_to_dict(config_from_dict(checkpoint.config))
+        mismatched = sorted(
+            {key for key in expected if expected[key] != recorded[key]}
+            | set(checkpoint.config) - set(expected))
+        if mismatched:
             raise CheckpointError(
                 f"checkpoint {checkpoint_path(resume_from)} was written by "
                 f"a different run configuration (mismatched: "

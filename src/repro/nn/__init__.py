@@ -11,13 +11,12 @@ from .conv import Conv2D, DepthwiseConv2D
 from .gradcheck import check_module_gradients, numerical_gradient
 from .layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 from .losses import (SoftmaxCrossEntropy, accuracy, evaluate_classifier,
-                     softmax, top_k_accuracy)
+                     softmax)
 from .module import FLOAT, Module, Parameter
 from .network import Sequential
 from .optim import (SGD, Adam, ConstantLR, CosineDecayLR, LRSchedule,
-                    Optimizer, StepDecayLR, clip_gradients)
-from .serialization import (load_state_dict, load_weights, save_weights,
-                            state_dict)
+                    Optimizer, clip_gradients)
+from .serialization import load_state_dict, state_dict
 from .trainer import Trainer, TrainHistory
 
 __all__ = [
@@ -25,12 +24,12 @@ __all__ = [
     "Conv2D", "DepthwiseConv2D", "Dense", "BatchNorm2D",
     "ReLU6", "GlobalAvgPool2D",
     "ConvBNReLU", "InvertedBottleneck", "Sequential",
-    "SoftmaxCrossEntropy", "softmax", "accuracy", "top_k_accuracy",
+    "SoftmaxCrossEntropy", "softmax", "accuracy",
     "evaluate_classifier",
     "Optimizer", "SGD", "Adam",
-    "LRSchedule", "ConstantLR", "CosineDecayLR", "StepDecayLR",
+    "LRSchedule", "ConstantLR", "CosineDecayLR",
     "clip_gradients",
     "Trainer", "TrainHistory",
-    "state_dict", "load_state_dict", "save_weights", "load_weights",
+    "state_dict", "load_state_dict",
     "check_module_gradients", "numerical_gradient",
 ]

@@ -8,7 +8,7 @@ input and output shapes match.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -113,14 +113,6 @@ class InvertedBottleneck(Module):
         if self.use_residual:
             dmain = dmain + grad
         return dmain
-
-    def conv_layers(self) -> List[Module]:
-        """The quantizable convolutions of this block, in execution order."""
-        layers: List[Module] = []
-        if self.expand is not None:
-            layers.append(self.expand.conv)
-        layers.extend([self.depthwise, self.project])
-        return layers
 
     def __repr__(self) -> str:
         return (f"InvertedBottleneck({self.in_channels}->{self.out_channels}, "

@@ -61,18 +61,6 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Top-k classification accuracy as a fraction in [0, 1]."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if logits.shape[0] == 0:
-        raise ValueError("cannot compute accuracy of an empty batch")
-    k = min(k, logits.shape[1])
-    top_k = np.argpartition(-logits, k - 1, axis=1)[:, :k]
-    hits = (top_k == labels[:, None]).any(axis=1)
-    return float(hits.mean())
-
-
 def evaluate_classifier(model, x: np.ndarray, labels: np.ndarray,
                         batch_size: int = 256) -> Tuple[float, float]:
     """Evaluate ``(loss, accuracy)`` of a model on a labelled set."""

@@ -45,23 +45,6 @@ class CosineDecayLR(LRSchedule):
         return self.min_lr + (self.base_lr - self.min_lr) * cosine
 
 
-class StepDecayLR(LRSchedule):
-    """Multiply the LR by ``factor`` every ``step_size`` steps."""
-
-    def __init__(self, base_lr: float, step_size: int,
-                 factor: float = 0.1) -> None:
-        super().__init__(base_lr)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0 < factor <= 1:
-            raise ValueError("factor must be in (0, 1]")
-        self.step_size = step_size
-        self.factor = factor
-
-    def lr_at(self, step: int) -> float:
-        return self.base_lr * self.factor ** (step // self.step_size)
-
-
 class Optimizer:
     """Base optimizer over an explicit parameter list."""
 

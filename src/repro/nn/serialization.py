@@ -107,14 +107,3 @@ def load_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
         lo, hi = state[f"aq_{i}_range"]
         quantizer._range = (float(lo), float(hi))
         quantizer.calibrating = False
-
-
-def save_weights(model: Module, path: str) -> None:
-    """Save a model snapshot to an ``.npz`` file."""
-    np.savez(path, **state_dict(model))
-
-
-def load_weights(model: Module, path: str) -> None:
-    """Load an ``.npz`` snapshot saved by :func:`save_weights`."""
-    with np.load(path) as data:
-        load_state_dict(model, dict(data))

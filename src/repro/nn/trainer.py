@@ -9,7 +9,7 @@ quantizers are attached to the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -25,26 +25,11 @@ class TrainHistory:
 
     train_loss: List[float] = field(default_factory=list)
     train_accuracy: List[float] = field(default_factory=list)
-    val_loss: List[float] = field(default_factory=list)
-    val_accuracy: List[float] = field(default_factory=list)
     steps: int = 0
 
     @property
     def epochs(self) -> int:
         return len(self.train_loss)
-
-    def best_val_accuracy(self) -> float:
-        if not self.val_accuracy:
-            raise ValueError("no validation metrics recorded")
-        return max(self.val_accuracy)
-
-    def as_dict(self) -> Dict[str, list]:
-        return {
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-        }
 
 
 class Trainer:
@@ -111,10 +96,8 @@ class Trainer:
 
     def fit(self, x: np.ndarray, labels: np.ndarray, epochs: int,
             batch_size: int = 64,
-            x_val: Optional[np.ndarray] = None,
-            labels_val: Optional[np.ndarray] = None,
             rng: Optional[np.random.Generator] = None) -> TrainHistory:
-        """Train for ``epochs`` epochs, validating after each if data given."""
+        """Train for ``epochs`` epochs."""
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
         if batch_size <= 0:
@@ -125,17 +108,5 @@ class Trainer:
         history = TrainHistory()
         for _ in range(epochs):
             self.train_epoch(x, labels, batch_size, rng, history)
-            if x_val is not None and labels_val is not None:
-                val_loss, val_acc = self.evaluate(x_val, labels_val,
-                                                  batch_size)
-                history.val_loss.append(val_loss)
-                history.val_accuracy.append(val_acc)
         self.model.set_training(False)
         return history
-
-    def evaluate(self, x: np.ndarray, labels: np.ndarray,
-                 batch_size: int = 256) -> tuple:
-        """``(loss, accuracy)`` on a labelled set, in inference mode."""
-        logits = self.model.predict(x, batch_size=batch_size)
-        loss_fn = SoftmaxCrossEntropy()
-        return loss_fn.forward(logits, labels), accuracy(logits, labels)

@@ -27,7 +27,9 @@ exclusive cost is its duration minus the summed durations of its direct
 children, so nested kernels (conv forward -> fake-quant) never
 double-count.  Phase attribution is driven by the tracer — ``phase``-kind
 spans push/pop the profiler's phase stack (see
-:meth:`repro.obs.trace.Span.__enter__`).
+:meth:`repro.obs.trace.Span.__enter__`).  The profiler keeps no phase
+clock of its own: a closing span hands over its duration, so a phase's
+wall time in the profile is the span's, not a second measurement.
 
 Workers profile with their own :class:`KernelProfiler` and flush the
 aggregate into their private trace recorder (:func:`KernelProfiler.
@@ -59,10 +61,12 @@ PROFILE_SPELLINGS: Dict[str, Optional[str]] = {
 #: supported profiling modes
 MODES = ("time", "alloc")
 
-#: numpy constructors counted as explicit ndarray allocations (alloc mode);
-#: the same set the arena-executor alloc tests patch.
+#: numpy functions counted as explicit ndarray allocations (alloc mode):
+#: the constructors and the copying helpers; the arena executor's
+#: steady-state test asserts none of them runs
 NDARRAY_CONSTRUCTORS = ("empty", "zeros", "ones", "full",
-                        "empty_like", "zeros_like", "ones_like", "full_like")
+                        "empty_like", "zeros_like", "ones_like", "full_like",
+                        "pad", "concatenate", "ascontiguousarray", "copy")
 
 
 def mode_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str]:
@@ -176,8 +180,8 @@ class KernelProfiler:
         self.phases: Dict[str, _PhaseStat] = {}
         self.alloc_count = 0  # bumped by the constructor wrappers
         self._kstack: List[_KernelTimer] = []
-        # each entry: [name, t0, alloc0, tracemalloc_cur0 or None]
-        self._pstack: List[list] = []
+        # each entry: (name, alloc0, tracemalloc_cur0 or None)
+        self._pstack: List[tuple] = []
 
     # -- collection --------------------------------------------------------
     def timer(self, name: str) -> _KernelTimer:
@@ -199,21 +203,24 @@ class KernelProfiler:
         if self.mode == "alloc" and tracemalloc.is_tracing():
             mem0 = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-        self._pstack.append([name, time.perf_counter(), self.alloc_count,
-                             mem0])
+        self._pstack.append((name, self.alloc_count, mem0))
 
-    def phase_finished(self, name: str) -> None:
-        """Called by the tracer when a ``phase``-kind span closes."""
+    def phase_finished(self, name: str, duration: float) -> None:
+        """Called by the tracer when a ``phase``-kind span closes.
+
+        ``duration`` is the closing span's own, so the profiled phase
+        wall time equals the span's.
+        """
         while self._pstack and self._pstack[-1][0] != name:
             self._pstack.pop()  # tolerate out-of-order exits
         if not self._pstack:
             return
-        pname, t0, alloc0, mem0 = self._pstack.pop()
+        pname, alloc0, mem0 = self._pstack.pop()
         stat = self.phases.get(pname)
         if stat is None:
             stat = self.phases[pname] = _PhaseStat()
         stat.calls += 1
-        stat.wall_s += time.perf_counter() - t0
+        stat.wall_s += duration
         stat.allocs += self.alloc_count - alloc0
         if mem0 is not None:
             current, peak = tracemalloc.get_traced_memory()

@@ -5,9 +5,9 @@ Consumes the ``type == "profile"`` events emitted by
 single event log by the parent's ``ingest``) and merges them into one
 attributed view:
 
-- per-phase wall time as the profiler saw it, checked against the
-  span-derived wall time (the two are independent measurements of the
-  same thing, so a large delta means lost attribution);
+- per-phase wall time (the phase spans' own durations, which the
+  profiler receives as each span closes) and the share of it the
+  kernel timers cover;
 - per-kernel inclusive/exclusive time and call counts, merged across
   trials and workers;
 - an icicle SVG (run > trials > phases > kernels) where kernel cells are
@@ -49,8 +49,6 @@ class ProfileView:
     # (trial, phase, kernel) -> excl_s, for the flame layout
     trial_kernels: Dict[Tuple[Optional[int], str, str], float] = field(
         default_factory=dict)
-    # span-derived wall time per phase name (independent measurement)
-    span_phase_s: Dict[str, float] = field(default_factory=dict)
     run_span: Optional[Dict[str, Any]] = None
     trial_spans: List[Dict[str, Any]] = field(default_factory=list)
     # (trial, phase) -> summed span seconds, for the flame layout
@@ -90,10 +88,7 @@ def aggregate(events: List[Dict[str, Any]]) -> ProfileView:
             elif kind == "trial":
                 view.trial_spans.append(event)
             elif kind == "phase":
-                name = str(event.get("name"))
-                view.span_phase_s[name] = view.span_phase_s.get(
-                    name, 0.0) + dur
-                key = (event.get("trial"), name)
+                key = (event.get("trial"), str(event.get("name")))
                 view.trial_phase_s[key] = view.trial_phase_s.get(
                     key, 0.0) + dur
             continue
@@ -151,33 +146,21 @@ def render_hotspots(view: ProfileView, top_n: int = TOP_KERNELS) -> str:
     alloc = view.mode == "alloc"
     lines.append(f"mode: {view.mode or 'time'}")
 
-    # -- phase breakdown, profiler wall vs independent span-derived wall
-    lines.append("phase breakdown (profiler wall vs span wall):")
-    prof_total = 0.0
-    span_total = 0.0
+    # -- phase breakdown: wall time and the kernel timers' share of it
+    lines.append("phase breakdown:")
     for name in sorted(view.phases,
                        key=lambda n: -view.phases[n]["excl_s"]):
         stat = view.phases[name]
-        span_s = view.span_phase_s.get(name)
-        prof_total += stat["excl_s"]
         kernel_s = sum(k["excl_s"] for (phase, _), k in view.kernels.items()
                        if phase == name)
         coverage = (kernel_s / stat["excl_s"] * 100.0
                     if stat["excl_s"] > 0 else 0.0)
-        row = (f"  {name:<16} {stat['excl_s']:>9.3f}s profiled"
-               + (f" / {span_s:.3f}s spans" if span_s is not None
-                  else " / (no span)")
-               + f"  n={stat['calls']}  kernel coverage {coverage:.0f}%")
+        row = (f"  {name:<16} {stat['excl_s']:>9.3f}s  n={stat['calls']}"
+               f"  kernel coverage {coverage:.0f}%")
         if alloc:
             row += (f"  peak {_fmt_bytes(stat['peak_bytes'])}"
                     f"  allocs {stat['allocs']}")
         lines.append(row)
-        if span_s is not None:
-            span_total += span_s
-    if span_total > 0:
-        delta = abs(prof_total - span_total) / span_total * 100.0
-        lines.append(f"  {'total':<16} {prof_total:>9.3f}s profiled"
-                     f" / {span_total:.3f}s spans  (delta {delta:.1f}%)")
 
     # -- top kernels by exclusive time, merged across trials and workers
     ranked = sorted(view.kernels.items(),

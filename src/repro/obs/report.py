@@ -3,8 +3,8 @@
 ``repro report <run_dir>`` lands here: the JSONL event stream written by a
 traced run (:class:`~repro.obs.trace.RunTracer`) is folded into a
 :class:`RunReport`.  A search run shows its incumbent trajectory,
-phase-time breakdown, training dynamics, GP surrogate health (kernel
-hyperparameters, acquisition values, predicted-vs-observed calibration),
+phase-time breakdown, training dynamics, GP surrogate health (marginal
+likelihood per fit, acquisition values, predicted-vs-observed calibration),
 QAFT recovery, and process-pool telemetry; a serving run (``repro serve
 --run-dir``) shows its SLO table.  Every figure is computed from the raw
 events, so percentiles are exact.  The text dashboard is optionally
@@ -171,7 +171,7 @@ def load_report(run_dir: Union[str, Path]) -> RunReport:
                 report.trial_scores.append(
                     (int(event.get("trial", -1)), float(event["value"]),
                      event.get("tags", {})))
-            elif name == "gp.length_scale":
+            elif name == "gp.lml":
                 report.gp_fits.append(event)
             elif name == "gp.residual":
                 report.residuals.append(event)
@@ -271,10 +271,10 @@ def _epoch_lines(report: RunReport) -> List[str]:
 def _gp_lines(report: RunReport) -> List[str]:
     lines = []
     if report.gp_fits:
-        scales = [e["value"] for e in report.gp_fits]
+        lmls = [e["value"] for e in report.gp_fits]
         n_obs = report.gp_fits[-1].get("tags", {}).get("n_obs")
-        lines.append(f"  fits: {len(scales)}  length_scale "
-                     f"first={scales[0]:.4g} last={scales[-1]:.4g}"
+        lines.append(f"  fits: {len(lmls)}  log marginal likelihood "
+                     f"first={lmls[0]:.4g} last={lmls[-1]:.4g}"
                      + (f"  n_obs={n_obs}" if n_obs is not None else ""))
     if report.acquisitions:
         values = [e["value"] for e in report.acquisitions]

@@ -98,7 +98,7 @@ class Span:
     def __exit__(self, *exc_info: Any) -> None:
         self.duration = time.perf_counter() - self._t0
         if self.kind == "phase" and _profile._active is not None:
-            _profile._active.phase_finished(self.name)
+            _profile._active.phase_finished(self.name, self.duration)
         self.recorder._span_finished(self)
 
     def elapsed(self) -> float:

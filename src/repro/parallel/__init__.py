@@ -29,10 +29,10 @@ runs are bit-identical.
 from .engine import (DEFAULT_TRIAL_BATCH, RetryPolicy, TrialEngine,
                      TrialEvaluationError, TrialOutcome, TrialSpec,
                      default_workers)
-from .seeding import trial_rng, trial_seed
+from .seeding import trial_seed
 
 __all__ = [
     "TrialEngine", "TrialSpec", "TrialOutcome", "TrialEvaluationError",
     "RetryPolicy", "DEFAULT_TRIAL_BATCH", "default_workers",
-    "trial_seed", "trial_rng",
+    "trial_seed",
 ]

@@ -30,8 +30,3 @@ def trial_seed(run_seed: int, trial_index: int) -> int:
         [TRIAL_SEED_NAMESPACE, int(run_seed) & _UINT64_MASK,
          int(trial_index)])
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
-
-
-def trial_rng(run_seed: int, trial_index: int) -> np.random.Generator:
-    """The generator driving all randomness of one trial."""
-    return np.random.default_rng(trial_seed(run_seed, trial_index))

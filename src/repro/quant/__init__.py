@@ -5,9 +5,8 @@ per output channel at searchable bitwidths {4..8}; activations are quantized
 affinely per tensor at INT8; biases are accounted at INT32.
 """
 
-from .apply import (ACTIVATION_BITS, BIAS_BITS, apply_policy, bake_weights,
-                    calibrate, is_quantized, quantizable_layers,
-                    remove_quantizers)
+from .apply import (ACTIVATION_BITS, BIAS_BITS, apply_policy, calibrate,
+                    is_quantized, quantizable_layers, remove_quantizers)
 from .export import (ExportedLayer, export_model, exported_size_kb,
                      import_model, pack_bits, rebuild_into, unpack_bits,
                      verify_roundtrip)
@@ -28,7 +27,7 @@ __all__ = [
     "Observer", "MinMaxObserver", "MovingAverageObserver",
     "PercentileObserver", "make_observer",
     "apply_policy", "calibrate", "remove_quantizers", "is_quantized",
-    "quantizable_layers", "bake_weights",
+    "quantizable_layers",
     "quantization_aware_finetune",
     "model_size_bits", "model_size_kb", "layer_sizes", "LayerSize",
     "size_report", "bitwidth_by_layer",

@@ -95,8 +95,6 @@ def calibrate(model: Sequential, x: np.ndarray,
         quantizer.freeze()
     recorder = get_recorder()
     if recorder.enabled:
-        recorder.counter("ptq.calibrated_layers", len(quantizers))
-        recorder.gauge("ptq.calibration_batches", n_batches)
         for quantizer in quantizers:
             scale, zero_point = quantizer.quant_params()
             recorder.observe("ptq.act_scale", scale)
@@ -114,17 +112,3 @@ def is_quantized(model: Module) -> bool:
     """True if any layer currently has a weight quantizer attached."""
     return any(layer.weight_quantizer is not None
                for layer in quantizable_layers(model))
-
-
-def bake_weights(model: Module) -> None:
-    """Overwrite latent weights with their quantized values.
-
-    After baking, removing the quantizers leaves the model numerically on
-    the quantization grid — this is what "deploying" the model means in the
-    simulation, and it is used to show that PTQ'd weights are exactly
-    representable.
-    """
-    for layer in quantizable_layers(model):
-        if layer.weight_quantizer is not None:
-            layer.weight.data = layer.weight_quantizer.forward(
-                layer.weight.data)

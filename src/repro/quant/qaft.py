@@ -16,7 +16,6 @@ import numpy as np
 from ..nn.network import Sequential
 from ..nn.optim import SGD, ConstantLR
 from ..nn.trainer import Trainer, TrainHistory
-from ..obs.trace import get_recorder
 from .apply import is_quantized
 
 
@@ -43,12 +42,5 @@ def quantization_aware_finetune(model: Sequential,
     optimizer = SGD(model.parameters(), ConstantLR(learning_rate),
                     momentum=momentum)
     trainer = Trainer(model, optimizer)
-    history = trainer.fit(x, labels, epochs=epochs, batch_size=batch_size,
-                          rng=rng)
-    recorder = get_recorder()
-    if recorder.enabled and history.train_loss:
-        recorder.gauge("qaft.loss_delta",
-                       history.train_loss[-1] - history.train_loss[0],
-                       first=history.train_loss[0],
-                       last=history.train_loss[-1], epochs=history.epochs)
-    return history
+    return trainer.fit(x, labels, epochs=epochs, batch_size=batch_size,
+                       rng=rng)

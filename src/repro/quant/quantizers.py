@@ -117,12 +117,6 @@ class WeightQuantizer:
                                    self.bits, self.channel_axis)
         return levels.astype(np.int64)
 
-    def num_scales(self, weights_shape: tuple) -> int:
-        """Number of 32-bit scale constants this quantizer stores on disk."""
-        if self.channel_axis is None:
-            return 1
-        return int(weights_shape[self.channel_axis])
-
     def __repr__(self) -> str:
         return (f"WeightQuantizer(bits={self.bits}, "
                 f"channel_axis={self.channel_axis})")

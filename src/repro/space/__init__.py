@@ -1,7 +1,6 @@
 """The BOMP-NAS search space (Table I) and genome machinery."""
 
-from .builder import (build_model, count_macs, describe_model,
-                      scaled_width, stem_channels)
+from .builder import build_model, count_macs, scaled_width, stem_channels
 from .distance import GenomeDistance
 from .genome import ArchGenome, BlockGenes, MixedPrecisionGenome
 from .space import (CIFAR10_WIDTH_CHOICES, CIFAR100_WIDTH_CHOICES,
@@ -13,7 +12,7 @@ from .space import (CIFAR10_WIDTH_CHOICES, CIFAR100_WIDTH_CHOICES,
 __all__ = [
     "SearchSpace", "BlockSpace", "quantization_slot_names",
     "ArchGenome", "BlockGenes", "MixedPrecisionGenome",
-    "build_model", "count_macs", "describe_model", "scaled_width",
+    "build_model", "count_macs", "scaled_width",
     "stem_channels",
     "GenomeDistance",
     "MOBILENETV2_BASE_WIDTHS", "CIFAR10_WIDTH_CHOICES",

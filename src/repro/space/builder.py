@@ -125,13 +125,3 @@ def count_macs(model: Sequential, input_hw: Tuple[int, int],
         elif isinstance(module, Dense):
             total += module.macs()
     return total
-
-
-def describe_model(model: Sequential) -> str:
-    """One-line-per-layer description with quantization slots."""
-    lines = []
-    for module in model.modules():
-        slot = getattr(module, "quant_slot", None)
-        if slot is not None:
-            lines.append(f"{module!r}  slot={slot}")
-    return "\n".join(lines)

@@ -51,11 +51,6 @@ class ArchGenome:
     def as_tuple(self) -> Tuple:
         return tuple(b.as_tuple() for b in self.blocks) + (self.conv2_filters,)
 
-    def active_blocks(self) -> Tuple[int, ...]:
-        """1-based indices of bottlenecks with at least one repetition."""
-        return tuple(i + 1 for i, b in enumerate(self.blocks)
-                     if b.repetitions > 0)
-
     def describe(self) -> str:
         parts = []
         for i, b in enumerate(self.blocks, start=1):

@@ -14,7 +14,7 @@ inconsistent with its own factor counts and is treated as a typo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -280,9 +280,6 @@ class SearchSpace:
             QuantizationPolicy(bits, allowed=self.bitwidth_choices))
 
     # -- vector encoding (for GP kernels) -------------------------------------
-    def encoding_dimension(self) -> int:
-        return 4 * len(self.blocks) + 1 + len(self.slot_names)
-
     def encode(self, genome: MixedPrecisionGenome) -> np.ndarray:
         """Normalized ordinal encoding of a genome.
 

@@ -1,43 +1,8 @@
-"""Tests for the BO extensions: length-scale tuning, MACs objective."""
+"""Tests for the BO extension: the MACs objective."""
 
-import numpy as np
 import pytest
 
-from repro.bo import (GaussianProcess, Matern52, ScalarizationConfig,
-                      scalarize)
-
-
-def l1_pairwise(a, b=None):
-    b = a if b is None else b
-    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-
-
-class TestLengthScaleTuning:
-    def test_returns_candidate_and_refits(self, rng):
-        gp = GaussianProcess(Matern52(1.0), l1_pairwise, noise=1e-3)
-        x = np.linspace(0, 1, 15).reshape(-1, 1)
-        y = np.sin(4 * x[:, 0])
-        candidates = np.array([0.05, 0.2, 1.0])
-        chosen = gp.tune_length_scale(x, y, candidates)
-        assert chosen in candidates
-        assert gp.kernel.length_scale == chosen
-        assert gp.fitted
-
-    def test_prefers_scale_matching_data(self, rng):
-        """Rapidly-varying targets should pick a shorter length scale than
-        nearly-constant targets."""
-        x = np.linspace(0, 1, 20).reshape(-1, 1)
-        candidates = np.array([0.05, 2.0])
-        gp = GaussianProcess(Matern52(1.0), l1_pairwise, noise=1e-4)
-        wiggly = gp.tune_length_scale(x, np.sin(20 * x[:, 0]), candidates)
-        smooth = gp.tune_length_scale(x, 0.1 * x[:, 0], candidates)
-        assert wiggly <= smooth
-
-    def test_default_grid(self, rng):
-        gp = GaussianProcess(Matern52(1.0), l1_pairwise, noise=1e-3)
-        chosen = gp.tune_length_scale(rng.uniform(size=(8, 2)),
-                                      rng.normal(size=8))
-        assert 0.02 <= chosen <= 2.0
+from repro.bo import ScalarizationConfig, scalarize
 
 
 class TestMacsObjective:

@@ -11,7 +11,31 @@ def l1_pairwise(a, b=None):
     return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
 
 
+def closed_form_lml(kernel, x, y, jitter):
+    """log N(y_s | 0, K + jitter*I) of the standardized targets y_s."""
+    y_s = (y - y.mean()) / y.std()
+    gram = kernel(l1_pairwise(x)) + jitter * np.eye(len(y))
+    _, log_det = np.linalg.slogdet(gram)
+    return (-0.5 * y_s @ np.linalg.solve(gram, y_s) - 0.5 * log_det
+            - 0.5 * len(y) * np.log(2 * np.pi))
+
+
 class TestLogMarginalLikelihood:
+    @pytest.mark.parametrize("x, y, noise, jitter", [
+        # 1-D points: Matérn-5/2 on L1 is PSD there, noise is the jitter
+        (np.linspace(0, 1, 8).reshape(-1, 1),
+         np.sin(3 * np.linspace(0, 1, 8)), 1e-3, 1e-3),
+        # two identical encodings at noise 0: the Gram matrix is
+        # singular and the jitter ladder escalates to 1e-10
+        (np.array([[0.3, 0.7], [0.3, 0.7]]), np.array([0.0, 1.0]),
+         0.0, 1e-10),
+    ], ids=["noise", "jitter-escalated"])
+    def test_matches_closed_form_of_fitted_model(self, x, y, noise, jitter):
+        gp = GaussianProcess(Matern52(0.5), l1_pairwise, noise=noise)
+        gp.fit(x, y)
+        assert gp.log_marginal_likelihood() == pytest.approx(
+            closed_form_lml(gp.kernel, x, y, jitter), rel=1e-6)
+
     def test_finite_after_fit(self, rng):
         gp = GaussianProcess(Matern52(1.0), l1_pairwise, noise=1e-3)
         gp.fit(rng.uniform(size=(6, 2)), rng.normal(size=6))

@@ -161,6 +161,22 @@ class TestAskBatch:
                 opt.tell(genome, objective(genome))
         assert opt.n_observations == 12
 
+    def test_each_gp_fit_logs_its_lml(self, c10_space):
+        """One ``gp.lml`` gauge per GP fit, tagged with the real
+        observations and the constant-liar fantasies that fit saw."""
+        from repro.obs.trace import TraceRecorder, use_recorder
+        opt = self.make(c10_space)
+        objective = synthetic_objective(c10_space)
+        for genome in opt.ask_batch(4):     # seed + random warm-up
+            opt.tell(genome, objective(genome))
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            opt.ask_batch(3)
+        fits = [e for e in recorder.events if e.get("name") == "gp.lml"]
+        assert [(e["tags"]["n_obs"], e["tags"]["n_fantasies"])
+                for e in fits] == [(4, 0), (4, 1), (4, 2)]
+        assert all(np.isfinite(e["value"]) for e in fits)
+
     def test_invalid_batch_size_rejected(self, c10_space):
         with pytest.raises(ValueError):
             self.make(c10_space).ask_batch(0)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.bo import (best_accuracy_under, dominates,
-                      front_dominates_at_size, hypervolume, pareto_front,
-                      pareto_indices)
+from repro.bo import (best_accuracy_under, dominates, hypervolume,
+                      pareto_front, pareto_indices)
 
 
 class TestDominates:
@@ -103,7 +102,6 @@ class TestHypervolume:
 
 class TestBudgetHelpers:
     FRONT_A = [(0.5, 5.0), (0.8, 50.0)]
-    FRONT_B = [(0.4, 5.0), (0.9, 50.0)]
 
     def test_best_accuracy_under(self):
         assert best_accuracy_under(self.FRONT_A, 10.0) == 0.5
@@ -111,7 +109,3 @@ class TestBudgetHelpers:
 
     def test_empty_budget(self):
         assert best_accuracy_under(self.FRONT_A, 1.0) == float("-inf")
-
-    def test_front_dominates_at_size(self):
-        assert front_dominates_at_size(self.FRONT_A, self.FRONT_B, 10.0)
-        assert front_dominates_at_size(self.FRONT_B, self.FRONT_A, 100.0)

@@ -83,15 +83,6 @@ class TestStaleness:
         # the stale entry is gone, not merely demoted
         assert len(cache) == 1
 
-    def test_invalidate_forces_recompile(self, artifact_file):
-        cache = ArtifactCache()
-        old = cache.load(artifact_file)
-        cache.invalidate(artifact_file)
-        assert len(cache) == 0
-        new = cache.load(artifact_file)
-        assert new.program is not old.program
-        assert new.digest == old.digest
-
 
 class TestBounds:
     def test_lru_evicts_oldest(self, artifact_file, artifact_file_4bit,
@@ -131,7 +122,7 @@ class TestBounds:
 class TestDefaultCache:
     def test_module_level_helper_uses_shared_cache(self, artifact_file):
         shared = default_artifact_cache()
-        shared.invalidate(artifact_file)
+        shared.clear()
         before = shared.misses
         entry = load_artifact_cached(artifact_file)
         again = load_artifact_cached(artifact_file)

@@ -64,10 +64,6 @@ class TestScales:
 
 
 class TestSearchConfig:
-    def test_with_mode(self):
-        config = SearchConfig().with_mode("mp_ptq")
-        assert config.mode.name == "mp_ptq"
-
     def test_policies_per_trial_needs_mp(self):
         with pytest.raises(ValueError):
             SearchConfig(mode=get_mode("fixed8_ptq"), policies_per_trial=2)

@@ -94,6 +94,29 @@ class TestModes:
             BOMPNAS(config, tiny_dataset)  # 10-class data, 100-class config
 
 
+class TestTrainingOptimizer:
+    def test_adam_under_cosine_decay_at_module_rate(self, nas):
+        """Early and final training run Adam from ``LEARNING_RATE``,
+        decayed to zero over the training steps; no config field sets
+        the optimizer or its rates."""
+        import dataclasses
+        from repro.nas.config import LEARNING_RATE
+        from repro.nn import Adam, CosineDecayLR
+        from repro.space import build_model
+        model = build_model(nas.space.seed_arch(), 10)
+        optimizer = nas.make_training_optimizer(model, epochs=3)
+        scale = nas.config.scale
+        steps = 3 * -(-scale.n_train // scale.batch_size)
+        assert isinstance(optimizer, Adam)
+        assert isinstance(optimizer.schedule, CosineDecayLR)
+        assert optimizer.schedule.total_steps == steps
+        assert optimizer.schedule.lr_at(0) == LEARNING_RATE
+        assert optimizer.schedule.lr_at(steps) == pytest.approx(0.0)
+        fields = {f.name for f in dataclasses.fields(SearchConfig)}
+        assert not fields & {"optimizer", "learning_rate",
+                             "qaft_learning_rate"}
+
+
 class TestRun:
     def test_full_run_structure(self, nas):
         result = nas.run(final_training=True)

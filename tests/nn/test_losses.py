@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (SoftmaxCrossEntropy, accuracy, softmax,
-                      top_k_accuracy)
+from repro.nn import SoftmaxCrossEntropy, accuracy, softmax
 
 
 class TestSoftmax:
@@ -91,15 +90,6 @@ class TestMetrics:
         logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         labels = np.array([0, 1, 1])
         assert accuracy(logits, labels) == pytest.approx(2 / 3)
-
-    def test_top_k(self):
-        logits = np.array([[3.0, 2.0, 1.0, 0.0]])
-        assert top_k_accuracy(logits, np.array([1]), k=1) == 0.0
-        assert top_k_accuracy(logits, np.array([1]), k=2) == 1.0
-
-    def test_top_k_caps_at_num_classes(self):
-        logits = np.array([[1.0, 0.0]])
-        assert top_k_accuracy(logits, np.array([1]), k=10) == 1.0
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):

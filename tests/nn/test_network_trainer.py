@@ -5,8 +5,7 @@ import pytest
 
 from repro.nn import (SGD, BatchNorm2D, ConstantLR, Conv2D, Dense,
                       GlobalAvgPool2D, Module, Parameter, ReLU6, Sequential,
-                      Trainer, load_state_dict, load_weights, save_weights,
-                      state_dict)
+                      Trainer, load_state_dict, state_dict)
 
 
 def tiny_net(rng, in_ch=3, classes=4):
@@ -97,17 +96,6 @@ class TestTrainer:
         assert history.train_loss[-1] < history.train_loss[0]
         assert history.train_accuracy[-1] > 0.6
 
-    def test_validation_recorded(self, rng, tiny_dataset):
-        net = tiny_net(rng, classes=10)
-        trainer = Trainer(net, SGD(net.parameters(), ConstantLR(0.01)))
-        history = trainer.fit(tiny_dataset.x_train, tiny_dataset.y_train,
-                              epochs=2, batch_size=32,
-                              x_val=tiny_dataset.x_test,
-                              labels_val=tiny_dataset.y_test, rng=rng)
-        assert history.epochs == 2
-        assert len(history.val_accuracy) == 2
-        assert history.best_val_accuracy() == max(history.val_accuracy)
-
     def test_augment_called(self, rng, tiny_dataset):
         calls = []
 
@@ -138,15 +126,6 @@ class TestTrainer:
         with pytest.raises(ValueError):
             trainer.fit(tiny_dataset.x_train, tiny_dataset.y_train[:-1],
                         epochs=1)
-
-    def test_history_as_dict(self, rng, tiny_dataset):
-        net = tiny_net(rng, classes=10)
-        trainer = Trainer(net, SGD(net.parameters(), ConstantLR(0.01)))
-        history = trainer.fit(tiny_dataset.x_train, tiny_dataset.y_train,
-                              epochs=1, rng=rng)
-        as_dict = history.as_dict()
-        assert set(as_dict) == {"train_loss", "train_accuracy", "val_loss",
-                                "val_accuracy"}
 
 
 class TestSerialization:
@@ -185,16 +164,6 @@ class TestSerialization:
         del snapshot["param_0"]
         with pytest.raises(ValueError):
             load_state_dict(net, snapshot)
-
-    def test_file_roundtrip(self, rng, tmp_path):
-        net = tiny_net(rng)
-        path = str(tmp_path / "weights.npz")
-        save_weights(net, path)
-        for p in net.parameters():
-            p.data += 2.0
-        load_weights(net, path)
-        snapshot = state_dict(net)
-        assert all(np.isfinite(v).all() for v in snapshot.values())
 
 
 class TestParameter:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (SGD, Adam, ConstantLR, CosineDecayLR, Parameter,
-                      StepDecayLR, clip_gradients)
+                      clip_gradients)
 
 
 def quadratic_params(rng, n=3):
@@ -38,19 +38,11 @@ class TestSchedules:
         sched = CosineDecayLR(1.0, total_steps=10)
         assert sched.lr_at(100) == pytest.approx(0.0)
 
-    def test_step_decay(self):
-        sched = StepDecayLR(1.0, step_size=10, factor=0.1)
-        assert sched.lr_at(9) == pytest.approx(1.0)
-        assert sched.lr_at(10) == pytest.approx(0.1)
-        assert sched.lr_at(25) == pytest.approx(0.01)
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             ConstantLR(0.0)
         with pytest.raises(ValueError):
             CosineDecayLR(0.1, total_steps=0)
-        with pytest.raises(ValueError):
-            StepDecayLR(0.1, step_size=10, factor=1.5)
 
 
 class TestSGD:

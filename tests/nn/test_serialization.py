@@ -1,16 +1,15 @@
 """Save/load coverage for weight snapshots, including quantized models.
 
-The resilience contract extends to model persistence: a PTQ'd or QAFT'd
-network written to disk and reloaded into a freshly built model (same
-genome, same policy) must produce bit-identical forwards — which requires
-the frozen activation-quantizer ranges to travel with the weights.
+A PTQ'd or QAFT'd network's snapshot, loaded into a freshly built model
+(same genome, same policy), must produce bit-identical forwards — which
+requires the frozen activation-quantizer ranges to travel with the
+weights.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.serialization import (load_state_dict, load_weights,
-                                    save_weights, state_dict)
+from repro.nn.serialization import load_state_dict, state_dict
 from repro.quant.apply import apply_policy, calibrate, quantizable_layers
 from repro.quant.qaft import quantization_aware_finetune
 from repro.space.builder import build_model
@@ -47,18 +46,6 @@ class TestFullPrecisionRoundTrip:
         clone.set_training(False)
         assert np.array_equal(clone.forward(x), reference)
 
-    def test_npz_round_trip(self, genome, batch, tmp_path):
-        x, _ = batch
-        model = fresh_model(genome, seed=1)
-        model.set_training(False)
-        reference = model.forward(x)
-        path = str(tmp_path / "weights.npz")
-        save_weights(model, path)
-        clone = fresh_model(genome, seed=99)
-        load_weights(clone, path)
-        clone.set_training(False)
-        assert np.array_equal(clone.forward(x), reference)
-
     def test_shape_mismatch_rejected(self, genome):
         model = fresh_model(genome, seed=1)
         snapshot = state_dict(model)
@@ -86,34 +73,30 @@ class TestQuantizedRoundTrip:
         model.set_training(False)
         return model
 
-    def test_ptq_model_round_trip_bit_identical(self, genome, batch,
-                                                tmp_path):
+    def test_ptq_model_round_trip_bit_identical(self, genome, batch):
         x, _ = batch
         model = self.quantized_model(genome, x, seed=1)
         reference = model.forward(x)
-        path = str(tmp_path / "ptq.npz")
-        save_weights(model, path)
+        snapshot = state_dict(model)
 
         clone = fresh_model(genome, seed=99)
         apply_policy(clone, genome.policy)  # fresh quantizers, uncalibrated
-        load_weights(clone, path)
+        load_state_dict(clone, snapshot)
         clone.set_training(False)
         for layer in quantizable_layers(clone):
             assert layer.input_quantizer.frozen  # ranges restored, no calib
         assert np.array_equal(clone.forward(x), reference)
 
-    def test_qaft_model_round_trip_bit_identical(self, genome, batch,
-                                                 tmp_path):
+    def test_qaft_model_round_trip_bit_identical(self, genome, batch):
         x, labels = batch
         model = self.quantized_model(genome, x, seed=1, finetune=True,
                                      labels=labels)
         reference = model.forward(x)
-        path = str(tmp_path / "qaft.npz")
-        save_weights(model, path)
+        snapshot = state_dict(model)
 
         clone = fresh_model(genome, seed=99)
         apply_policy(clone, genome.policy)
-        load_weights(clone, path)
+        load_state_dict(clone, snapshot)
         clone.set_training(False)
         assert np.array_equal(clone.forward(x), reference)
 

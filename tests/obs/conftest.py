@@ -13,7 +13,7 @@ def traced_run(tmp_path_factory, unit_scale):
 
     ``batch_size=1`` makes the BO loop sequential, so the GP fits after
     ``n_initial_random`` real observations and the trace contains GP
-    diagnostics (length scale, acquisition, residuals).
+    diagnostics (marginal likelihood, acquisition, residuals).
     """
     run_dir = tmp_path_factory.mktemp("obs") / "run"
     dataset = make_synthetic_dataset(

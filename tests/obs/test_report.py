@@ -134,3 +134,47 @@ class TestPoolFigures:
         text = render_text(load_report(tmp_path))
         assert "worker utilisation mean=70.0% min=50.0%" in text
         assert "task skew (max/mean) mean=1.50 max=1.75" in text
+
+
+class TestProfiledSequentialRun:
+    """A traced, profiled ``--trial-batch 1`` unit search through the CLI:
+    the log holds only numbers that move, and the dashboard shows them."""
+
+    #: metrics fixed by construction or copied from another record
+    CONSTANT_METRICS = ("gp.length_scale", "qaft.loss_delta",
+                        "ptq.calibrated_layers", "ptq.calibration_batches",
+                        "infer.requant_fused", "infer.macs")
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        from repro.cli import main
+        run_dir = tmp_path_factory.mktemp("profiled") / "run"
+        assert main(["search", "--scale", "unit", "--trial-batch", "1",
+                     "--workers", "1", "--profile", "--trace-dir",
+                     str(run_dir), "--quiet",
+                     "--out", str(run_dir.parent / "result.json")]) == 0
+        return run_dir
+
+    def test_no_constant_metrics(self, run_dir):
+        names = {e.get("name") for e in read_events(run_dir)}
+        assert "infer.images" in names   # final training ran the engine
+        assert not names & set(self.CONSTANT_METRICS)
+
+    def test_one_lml_event_per_gp_fit(self, run_dir):
+        fits = [e for e in read_events(run_dir)
+                if e["type"] == "gauge" and e["name"] == "gp.lml"]
+        assert len(fits) >= 2
+        for event in fits:
+            assert set(event["tags"]) == {"n_obs", "n_fantasies"}
+            assert np.isfinite(event["value"])
+
+    def test_dashboard_shows_lml_and_one_phase_clock(self, run_dir):
+        text = render_text(load_report(run_dir))
+        fits = [e for e in read_events(run_dir)
+                if e.get("name") == "gp.lml"]
+        assert (f"fits: {len(fits)}  log marginal likelihood "
+                f"first={fits[0]['value']:.4g} "
+                f"last={fits[-1]['value']:.4g}") in text
+        assert "length_scale" not in text
+        assert "profiler hotspots:" in text
+        assert "delta" not in text and "profiled /" not in text

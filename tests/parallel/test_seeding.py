@@ -1,9 +1,8 @@
 """Tests for deterministic per-trial seeding."""
 
-import numpy as np
 import pytest
 
-from repro.parallel import trial_rng, trial_seed
+from repro.parallel import trial_seed
 
 
 class TestTrialSeed:
@@ -20,12 +19,3 @@ class TestTrialSeed:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             trial_seed(0, -1)
-
-    def test_rng_streams_independent(self):
-        a = trial_rng(0, 0).standard_normal(8)
-        b = trial_rng(0, 1).standard_normal(8)
-        assert not np.allclose(a, b)
-
-    def test_rng_reproducible(self):
-        assert np.array_equal(trial_rng(3, 2).standard_normal(8),
-                              trial_rng(3, 2).standard_normal(8))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn import evaluate_classifier, state_dict, load_state_dict
-from repro.quant import (QuantizationPolicy, apply_policy, bake_weights,
-                         calibrate, is_quantized, quantizable_layers,
+from repro.quant import (QuantizationPolicy, apply_policy, calibrate,
+                         is_quantized, quantizable_layers,
                          quantization_aware_finetune, remove_quantizers)
 from repro.space import SearchSpace, build_model, quantization_slot_names
 
@@ -157,15 +157,3 @@ class TestQAFT:
         for key in before:
             np.testing.assert_array_equal(before[key], after[key])
 
-
-class TestBakeWeights:
-    def test_baked_weights_fixed_point(self, seed_model, c10_space,
-                                       tiny_dataset):
-        apply_policy(seed_model, c10_space.seed_policy(4))
-        calibrate(seed_model, tiny_dataset.x_train)
-        bake_weights(seed_model)
-        # after baking, re-quantization is a no-op (weights on the grid)
-        for layer in quantizable_layers(seed_model):
-            w = layer.weight.data
-            np.testing.assert_allclose(layer.weight_quantizer.forward(w), w,
-                                       atol=1e-5)

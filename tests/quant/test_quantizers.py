@@ -103,11 +103,6 @@ class TestWeightQuantizer:
         w = rng.normal(size=(3,)).astype(np.float32)
         assert q.forward(w) is w
 
-    def test_num_scales(self):
-        q = WeightQuantizer(4, channel_axis=3)
-        assert q.num_scales((3, 3, 2, 16)) == 16
-        assert WeightQuantizer(4).num_scales((3, 3, 2, 16)) == 1
-
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             WeightQuantizer(1)

@@ -13,9 +13,11 @@ import signal
 
 import pytest
 
+from repro.bo import ScalarizationConfig
 from repro.data import make_synthetic_dataset
 from repro.nas import BOMPNAS, SearchConfig, get_mode
-from repro.resilience.checkpoint import (CheckpointError, has_checkpoint,
+from repro.resilience.checkpoint import (CHECKPOINT_FILENAME,
+                                         CheckpointError, has_checkpoint,
                                          load_checkpoint)
 
 
@@ -157,6 +159,44 @@ class TestResumeSemantics:
             BOMPNAS(other, dataset).run(final_training=False,
                                         resume_from=ckpt_dir)
 
+    def test_ref_macs_mismatch_rejected(self, setup, tmp_path):
+        config, dataset, _ = setup
+        ckpt_dir = tmp_path / "run"
+        run_interrupted(config, dataset, ckpt_dir)
+        import dataclasses
+        other = dataclasses.replace(
+            config, scalarization=ScalarizationConfig(ref_macs=4.0))
+        with pytest.raises(CheckpointError, match="ref_macs"):
+            BOMPNAS(other, dataset).run(final_training=False,
+                                        resume_from=ckpt_dir)
+
+    def test_checkpoint_without_ref_macs_resumes(self, setup, tmp_path):
+        """A checkpoint written before config dicts carried ``ref_macs``
+        resumes: the missing key reads as its default, not a mismatch."""
+        config, dataset, baseline = setup
+        ckpt_dir = tmp_path / "run"
+        run_interrupted(config, dataset, ckpt_dir)
+        path = ckpt_dir / CHECKPOINT_FILENAME
+        payload = json.loads(path.read_text())
+        del payload["config"]["ref_macs"]
+        path.write_text(json.dumps(payload))
+        resumed = BOMPNAS(config, dataset).run(
+            final_training=False, workers=1, resume_from=ckpt_dir)
+        assert_bit_identical(resumed, baseline)
+
+    def test_unknown_config_key_rejected(self, setup, tmp_path):
+        """A renamed key is refused, not read as the default."""
+        config, dataset, _ = setup
+        ckpt_dir = tmp_path / "run"
+        run_interrupted(config, dataset, ckpt_dir)
+        path = ckpt_dir / CHECKPOINT_FILENAME
+        payload = json.loads(path.read_text())
+        payload["config"]["kernem"] = payload["config"].pop("kernel")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="kernem"):
+            BOMPNAS(config, dataset).run(final_training=False,
+                                         resume_from=ckpt_dir)
+
     def test_batch_size_mismatch_rejected(self, setup, tmp_path):
         config, dataset, _ = setup
         ckpt_dir = tmp_path / "run"
@@ -190,6 +230,27 @@ class TestCliResume:
         b = json.loads(second.read_text())
         assert a["trials"] == b["trials"]
         assert a["config"] == b["config"]
+
+    def test_resume_keeps_ref_macs(self, setup, tmp_path):
+        """``--resume`` of a ``ref_macs`` search scores the remaining
+        trials with the MACs term, like the uninterrupted search."""
+        import dataclasses
+        from repro.cli import main
+        config, dataset, _ = setup
+        config = dataclasses.replace(
+            config, scalarization=ScalarizationConfig(ref_macs=4.0))
+        baseline = BOMPNAS(config, dataset).run(final_training=False,
+                                                workers=1, batch_size=2)
+        ckpt_dir = tmp_path / "run"
+        run_interrupted(config, dataset, ckpt_dir)
+        out = tmp_path / "resumed.json"
+        assert main(["search", "--resume", str(ckpt_dir),
+                     "--no-final-training", "--quiet", "--workers", "1",
+                     "--out", str(out)]) == 0
+        resumed = json.loads(out.read_text())
+        assert resumed["config"]["ref_macs"] == 4.0
+        assert [t["score"] for t in resumed["trials"]] == \
+            [t.score for t in baseline.trials]
 
     def test_resume_without_checkpoint_fails(self, tmp_path):
         from repro.cli import main

@@ -6,8 +6,7 @@ import pytest
 from repro.nn import Conv2D, Dense, DepthwiseConv2D, InvertedBottleneck
 from repro.quant import quantizable_layers
 from repro.space import (ArchGenome, BlockGenes, SearchSpace, build_model,
-                         count_macs, describe_model,
-                         quantization_slot_names, scaled_width,
+                         count_macs, quantization_slot_names, scaled_width,
                          stem_channels)
 
 
@@ -151,12 +150,6 @@ class TestBuildModel:
     def test_num_classes_validation(self, c10_space, rng):
         with pytest.raises(ValueError):
             build_model(c10_space.seed_arch(), 1, rng=rng)
-
-    def test_describe_mentions_slots(self, c10_space, rng):
-        text = describe_model(build_model(c10_space.seed_arch(), 10,
-                                          rng=rng))
-        assert "slot=stem" in text
-        assert "slot=classifier" in text
 
 
 class TestCountMacs:

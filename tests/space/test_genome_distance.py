@@ -18,14 +18,6 @@ class TestGenomes:
             ArchGenome(blocks=(BlockGenes(3, 0.1, 6, 1),) * 6,
                        conv2_filters=1280)
 
-    def test_active_blocks(self, c10_space, rng):
-        seed = c10_space.seed_arch()
-        assert seed.active_blocks() == (1, 2, 3, 4, 5, 6, 7)
-        blocks = list(seed.blocks)
-        blocks[2] = BlockGenes(3, 0.1, 6, 0)
-        pruned = ArchGenome(blocks=tuple(blocks), conv2_filters=1280)
-        assert 3 not in pruned.active_blocks()
-
     def test_genome_hash_eq(self, c10_space, rng):
         a = c10_space.random_genome(rng)
         same = MixedPrecisionGenome(a.arch, a.policy)
