@@ -22,7 +22,9 @@
 #      run's `repro report` with its hotspot table, so every CI log shows
 #      where training time goes; then the same for an alloc-mode profiled
 #      run at trial batch 1, where the GP fits (its `gp.lml` line) and the
-#      phase events carry memory figures
+#      phase spans carry memory figures; both run on two workers, so even
+#      a one-CPU runner validates and renders worker trial spans ingested
+#      under their `pool.batch` span
 #   3. serving smoke test (HTTP round trip against a live daemon,
 #      concurrent clients, bit-identity vs serial inference, clean drain,
 #      the daemon's events.jsonl validated and rendered by `repro report`)
@@ -59,8 +61,8 @@ done
 echo "== schema: freshly traced+profiled run =="
 TMP_RUN="$(mktemp -d)"
 trap 'rm -rf "$TMP_RUN"' EXIT
-python -m repro search --scale unit --no-final-training --profile \
-    --trace-dir "$TMP_RUN/run" --quiet >/dev/null
+python -m repro search --scale unit --no-final-training --workers 2 \
+    --profile --trace-dir "$TMP_RUN/run" --quiet >/dev/null
 python scripts/check_schema.py "$TMP_RUN/run"
 
 echo "== report: that run's dashboard and hotspot table =="
@@ -68,7 +70,7 @@ python -m repro report "$TMP_RUN/run"
 
 echo "== schema and report: alloc-mode profiled run, trial batch 1 =="
 python -m repro search --scale unit --no-final-training --trial-batch 1 \
-    --profile alloc --trace-dir "$TMP_RUN/alloc" --quiet
+    --workers 2 --profile alloc --trace-dir "$TMP_RUN/alloc" --quiet
 python scripts/check_schema.py "$TMP_RUN/alloc"
 python -m repro report "$TMP_RUN/alloc"
 

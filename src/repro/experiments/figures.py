@@ -13,7 +13,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..bo.pareto import best_accuracy_under, hypervolume, pareto_front
+from ..bo.pareto import best_accuracy_under, hypervolume
 from ..bo.scalarization import equal_score_accuracy, scalarize
 from ..nas.final_training import train_final_models
 from ..nas.results import SearchResult

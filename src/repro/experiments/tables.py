@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..baselines.reference import (TABLE2_BOMP_PAPER, TABLE3_BOMP_PAPER,
                                    TABLE3_REFERENCES, TABLE4_PAPER,
-                                   SotaEntry, table2_rows)
+                                   table2_rows)
 from ..nas.cost import CostModel
 from ..nas.results import SearchResult
 from ..space.space import SearchSpace

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..quant.apply import BIAS_BITS
 from ..quant.size import FLOAT_BITS
 from .engine import Program

@@ -27,6 +27,7 @@ from typing import Dict, Optional
 from ..bo.acquisition import ACQUISITIONS
 from ..bo.kernels import KERNELS
 from ..bo.scalarization import ScalarizationConfig
+from ..env import EnvVarError
 from ..quant.observers import OBSERVERS
 
 
@@ -131,9 +132,17 @@ SCALE_PRESETS: Dict[str, ScalePreset] = {
 
 
 def get_scale(name: Optional[str] = None) -> ScalePreset:
-    """Scale preset by name, defaulting to the ``BOMP_SCALE`` env var."""
+    """Scale preset by name, defaulting to the ``BOMP_SCALE`` env var.
+
+    An unknown ``name`` raises ``ValueError``; an unknown ``BOMP_SCALE``
+    raises :class:`~repro.env.EnvVarError` naming the variable.
+    """
     if name is None:
-        name = os.environ.get("BOMP_SCALE", "smoke")
+        value = os.environ.get("BOMP_SCALE", "smoke")
+        if value not in SCALE_PRESETS:
+            raise EnvVarError(f"BOMP_SCALE={value!r}: expected one of "
+                              f"{', '.join(sorted(SCALE_PRESETS))}")
+        return SCALE_PRESETS[value]
     if name not in SCALE_PRESETS:
         raise ValueError(
             f"unknown scale {name!r}; choices: {sorted(SCALE_PRESETS)}")

@@ -17,24 +17,26 @@ Two modes:
 
 - ``"time"`` (``BOMP_PROFILE=1``): wall-time + call counts, < 3%% overhead
   on the smoke path;
-- ``"alloc"`` (``BOMP_PROFILE=alloc``): additionally tracks tracemalloc
-  peak/net bytes per phase and ndarray-constructor alloc counts per
-  kernel.  Heavier (tracemalloc hooks every allocation); use it for
-  targeted memory hunts, not routine runs.
+- ``"alloc"`` (``BOMP_PROFILE=alloc``): additionally counts ndarray
+  constructor calls per kernel and per phase, and tracks each phase's
+  tracemalloc peak/net bytes.  Heavier (tracemalloc hooks every
+  allocation); use it for targeted memory hunts, not routine runs.
 
 Exclusive time uses the classic timer-stack subtraction: a frame's
 exclusive cost is its duration minus the summed durations of its direct
 children, so nested kernels (conv forward -> fake-quant) never
 double-count.  Phase attribution is driven by the tracer — ``phase``-kind
 spans push/pop the profiler's phase stack (see
-:meth:`repro.obs.trace.Span.__enter__`).  The profiler keeps no phase
-clock of its own: a closing span hands over its duration, so a phase's
-wall time in the profile is the span's, not a second measurement.
+:meth:`repro.obs.trace.Span.__enter__`).  A phase is recorded by its span
+alone: the profiler keeps the stack only to key kernels by phase, and in
+alloc mode writes the phase's ``allocs``, ``peak_bytes`` and
+``net_bytes`` into the closing span's tags.
 
 Workers profile with their own :class:`KernelProfiler` and flush the
-aggregate into their private trace recorder (:func:`KernelProfiler.
-flush_to`); the resulting ``"profile"`` events ship through
-``TrialOutcome.events`` and merge like any other event.
+kernel aggregate into their private trace recorder
+(:func:`KernelProfiler.flush_to`); the resulting kernel-scope
+``"profile"`` events ship through ``TrialOutcome.events`` and merge like
+any other event.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ import os
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..env import EnvVarError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .trace import Span
 
 #: environment variable enabling profiling ("1"/"time" or "alloc")
 PROFILE_ENV = "BOMP_PROFILE"
@@ -96,19 +101,6 @@ class _KernelStat:
         self.incl_s = 0.0
         self.excl_s = 0.0
         self.allocs = 0
-
-
-class _PhaseStat:
-    """Aggregate for one phase as seen by the profiler."""
-
-    __slots__ = ("calls", "wall_s", "allocs", "peak_bytes", "net_bytes")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.wall_s = 0.0
-        self.allocs = 0
-        self.peak_bytes = 0
-        self.net_bytes = 0
 
 
 class _KernelTimer:
@@ -177,7 +169,6 @@ class KernelProfiler:
                              f"expected one of {MODES}")
         self.mode = mode
         self.kernels: Dict[Tuple[str, str], _KernelStat] = {}
-        self.phases: Dict[str, _PhaseStat] = {}
         self.alloc_count = 0  # bumped by the constructor wrappers
         self._kstack: List[_KernelTimer] = []
         # each entry: (name, alloc0, tracemalloc_cur0 or None)
@@ -205,55 +196,34 @@ class KernelProfiler:
             tracemalloc.reset_peak()
         self._pstack.append((name, self.alloc_count, mem0))
 
-    def phase_finished(self, name: str, duration: float) -> None:
+    def phase_finished(self, span: "Span") -> None:
         """Called by the tracer when a ``phase``-kind span closes.
 
-        ``duration`` is the closing span's own, so the profiled phase
-        wall time equals the span's.
+        Pops the phase; in alloc mode, writes its ndarray allocation
+        count and tracemalloc peak and net bytes into ``span.tags``.
         """
-        while self._pstack and self._pstack[-1][0] != name:
+        while self._pstack and self._pstack[-1][0] != span.name:
             self._pstack.pop()  # tolerate out-of-order exits
         if not self._pstack:
             return
-        pname, alloc0, mem0 = self._pstack.pop()
-        stat = self.phases.get(pname)
-        if stat is None:
-            stat = self.phases[pname] = _PhaseStat()
-        stat.calls += 1
-        stat.wall_s += duration
-        stat.allocs += self.alloc_count - alloc0
+        _, alloc0, mem0 = self._pstack.pop()
         if mem0 is not None:
             current, peak = tracemalloc.get_traced_memory()
-            stat.peak_bytes = max(stat.peak_bytes, peak - mem0)
-            stat.net_bytes += current - mem0
+            span.tags.update(allocs=self.alloc_count - alloc0,
+                             peak_bytes=peak - mem0,
+                             net_bytes=current - mem0)
 
     # -- export ------------------------------------------------------------
     def events(self, trial: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The accumulated stats as ``"profile"`` trace events."""
+        """The accumulated kernel stats as ``"profile"`` trace events."""
         alloc = self.mode == "alloc"
-        out: List[Dict[str, Any]] = []
-        for name in sorted(self.phases):
-            stat = self.phases[name]
-            out.append({
-                "type": "profile", "scope": "phase", "name": name,
-                "phase": name, "mode": self.mode, "trial": trial,
-                "calls": stat.calls, "excl_s": stat.wall_s,
-                "incl_s": stat.wall_s,
-                "allocs": stat.allocs if alloc else None,
-                "peak_bytes": stat.peak_bytes if alloc else None,
-                "net_bytes": stat.net_bytes if alloc else None,
-                "tags": {}})
-        for phase, name in sorted(self.kernels):
-            stat = self.kernels[(phase, name)]
-            out.append({
-                "type": "profile", "scope": "kernel", "name": name,
-                "phase": phase, "mode": self.mode, "trial": trial,
-                "calls": stat.calls, "excl_s": stat.excl_s,
-                "incl_s": stat.incl_s,
-                "allocs": stat.allocs if alloc else None,
-                "peak_bytes": None, "net_bytes": None,
-                "tags": {}})
-        return out
+        return [{"type": "profile", "scope": "kernel", "name": name,
+                 "phase": phase, "mode": self.mode, "trial": trial,
+                 "calls": stat.calls, "excl_s": stat.excl_s,
+                 "incl_s": stat.incl_s,
+                 "allocs": stat.allocs if alloc else None,
+                 "peak_bytes": None, "net_bytes": None, "tags": {}}
+                for (phase, name), stat in sorted(self.kernels.items())]
 
     def flush_to(self, recorder: Any, trial: Optional[int] = None) -> int:
         """Emit the accumulated stats into ``recorder`` and reset.
@@ -270,7 +240,6 @@ class KernelProfiler:
     def reset(self) -> None:
         """Drop accumulated stats (open stacks are left untouched)."""
         self.kernels.clear()
-        self.phases.clear()
 
 
 # -- process-wide activation ------------------------------------------------

@@ -1,169 +1,43 @@
-"""Profiler reporting: hotspot tables and flame/icicle SVGs.
+"""Profiler reporting: the kernel hotspot table and flame/icicle SVG.
 
-Consumes the ``type == "profile"`` events emitted by
-:mod:`repro.obs.profile` (one stream per worker, already rebased into a
-single event log by the parent's ``ingest``) and merges them into one
-attributed view:
+Both draw from the :class:`~repro.obs.report.RunReport` that
+``load_report`` folds from a run's event log in one pass: the kernel
+statistics merged from the kernel-scope ``"profile"`` events (one stream
+per worker, already rebased into one log by the parent's ``ingest``) and
+the run, trial and phase spans.  A phase's wall time, kernel coverage
+and memory figures are the phase spans' and print once, in the
+dashboard's phase-time breakdown; this module adds
 
-- per-phase wall time (the phase spans' own durations, which the
-  profiler receives as each span closes) and the share of it the
-  kernel timers cover;
-- per-kernel inclusive/exclusive time and call counts, merged across
-  trials and workers;
+- the top-N kernels by exclusive time, merged across trials and
+  workers, with inclusive time, calls and (alloc mode) allocations;
 - an icicle SVG (run > trials > phases > kernels) where kernel cells are
   scaled by exclusive time within their phase.
 
-Everything here is pure functions over the event list — no profiler or
+Everything here is a pure function of the report — no profiler or
 tracer state is touched, so reporting works on any run directory.
-``repro report`` prints the hotspot table and writes the flame SVG next
-to its other figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-__all__ = [
-    "ProfileView",
-    "aggregate",
-    "hotspot_lines",
-    "render_hotspots",
-    "flame_svg",
-]
+if TYPE_CHECKING:  # pragma: no cover
+    from .report import RunReport
+
+__all__ = ["render_hotspots", "flame_svg"]
 
 #: kernels shown in the hotspot table
 TOP_KERNELS = 12
 
 
-@dataclass
-class ProfileView:
-    """Merged profile statistics for one run's events."""
-
-    mode: Optional[str] = None
-    # phase name -> {calls, excl_s, allocs, peak_bytes, net_bytes}
-    phases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    # (phase, kernel) -> {calls, excl_s, incl_s, allocs}
-    kernels: Dict[Tuple[str, str], Dict[str, Any]] = field(
-        default_factory=dict)
-    # (trial, phase, kernel) -> excl_s, for the flame layout
-    trial_kernels: Dict[Tuple[Optional[int], str, str], float] = field(
-        default_factory=dict)
-    run_span: Optional[Dict[str, Any]] = None
-    trial_spans: List[Dict[str, Any]] = field(default_factory=list)
-    # (trial, phase) -> summed span seconds, for the flame layout
-    trial_phase_s: Dict[Tuple[Optional[int], str], float] = field(
-        default_factory=dict)
-
-    @property
-    def has_profile(self) -> bool:
-        return bool(self.phases or self.kernels)
-
-
-def _zero_phase() -> Dict[str, Any]:
-    return {"calls": 0, "excl_s": 0.0, "allocs": 0,
-            "peak_bytes": 0, "net_bytes": 0}
-
-
-def _zero_kernel() -> Dict[str, Any]:
-    return {"calls": 0, "excl_s": 0.0, "incl_s": 0.0, "allocs": 0}
-
-
-def aggregate(events: List[Dict[str, Any]]) -> ProfileView:
-    """Merge profile + span events into a :class:`ProfileView`.
-
-    Worker streams were flushed independently (one profile event per
-    phase/kernel per trial), so merging is a straight sum; ``peak_bytes``
-    takes the max, since each worker process has its own heap and the
-    worst observed peak is the number that matters for sizing.
-    """
-    view = ProfileView()
-    for event in events:
-        type_ = event.get("type")
-        if type_ == "span":
-            kind = event.get("kind")
-            dur = float(event.get("dur_s") or 0.0)
-            if kind == "run":
-                view.run_span = event
-            elif kind == "trial":
-                view.trial_spans.append(event)
-            elif kind == "phase":
-                key = (event.get("trial"), str(event.get("name")))
-                view.trial_phase_s[key] = view.trial_phase_s.get(
-                    key, 0.0) + dur
-            continue
-        if type_ != "profile":
-            continue
-        mode = event.get("mode")
-        if mode and view.mode is None:
-            view.mode = str(mode)
-        scope = event.get("scope")
-        if scope == "phase":
-            stat = view.phases.setdefault(
-                str(event.get("name")), _zero_phase())
-            stat["calls"] += int(event.get("calls") or 0)
-            stat["excl_s"] += float(event.get("excl_s") or 0.0)
-            stat["allocs"] += int(event.get("allocs") or 0)
-            stat["peak_bytes"] = max(stat["peak_bytes"],
-                                     int(event.get("peak_bytes") or 0))
-            stat["net_bytes"] += int(event.get("net_bytes") or 0)
-        elif scope == "kernel":
-            phase = str(event.get("phase") or "")
-            name = str(event.get("name"))
-            stat = view.kernels.setdefault((phase, name), _zero_kernel())
-            stat["calls"] += int(event.get("calls") or 0)
-            stat["excl_s"] += float(event.get("excl_s") or 0.0)
-            stat["incl_s"] += float(event.get("incl_s") or 0.0)
-            stat["allocs"] += int(event.get("allocs") or 0)
-            excl = float(event.get("excl_s") or 0.0)
-            tkey = (event.get("trial"), phase, name)
-            view.trial_kernels[tkey] = view.trial_kernels.get(
-                tkey, 0.0) + excl
-    return view
-
-
-def _fmt_bytes(n: int) -> str:
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
-        value /= 1024.0
-    return f"{int(n)}B"
-
-
-def hotspot_lines(events: List[Dict[str, Any]]) -> List[str]:
-    """The hotspot table for an event list (indent-free lines)."""
-    return render_hotspots(aggregate(events)).splitlines()
-
-
-def render_hotspots(view: ProfileView, top_n: int = TOP_KERNELS) -> str:
-    """Top-N hotspot table: phase breakdown + kernels by exclusive time."""
-    lines: List[str] = []
-    if not view.has_profile:
-        lines.append("no profile events in this run "
-                     "(rerun with --profile or BOMP_PROFILE=1)")
-        return "\n".join(lines)
-    alloc = view.mode == "alloc"
-    lines.append(f"mode: {view.mode or 'time'}")
-
-    # -- phase breakdown: wall time and the kernel timers' share of it
-    lines.append("phase breakdown:")
-    for name in sorted(view.phases,
-                       key=lambda n: -view.phases[n]["excl_s"]):
-        stat = view.phases[name]
-        kernel_s = sum(k["excl_s"] for (phase, _), k in view.kernels.items()
-                       if phase == name)
-        coverage = (kernel_s / stat["excl_s"] * 100.0
-                    if stat["excl_s"] > 0 else 0.0)
-        row = (f"  {name:<16} {stat['excl_s']:>9.3f}s  n={stat['calls']}"
-               f"  kernel coverage {coverage:.0f}%")
-        if alloc:
-            row += (f"  peak {_fmt_bytes(stat['peak_bytes'])}"
-                    f"  allocs {stat['allocs']}")
-        lines.append(row)
-
-    # -- top kernels by exclusive time, merged across trials and workers
-    ranked = sorted(view.kernels.items(),
+def render_hotspots(report: "RunReport", top_n: int = TOP_KERNELS) -> str:
+    """Top-N hotspot table: kernels by exclusive time."""
+    if not report.kernels:
+        return ("no profile events in this run "
+                "(rerun with --profile or BOMP_PROFILE=1)")
+    alloc = report.profile_mode == "alloc"
+    lines = [f"mode: {report.profile_mode}"]
+    ranked = sorted(report.kernels.items(),
                     key=lambda item: -item[1]["excl_s"])
     shown = ranked[:top_n]
     lines.append(f"top {len(shown)} kernels by exclusive time:")
@@ -224,7 +98,7 @@ def _cell(parts: List[str], x: float, y: float, w: float, h: float,
     parts.append("</g>")
 
 
-def flame_svg(events: List[Dict[str, Any]], width: int = 960,
+def flame_svg(report: "RunReport", width: int = 960,
               row_h: int = 22) -> Optional[str]:
     """Icicle chart: run > trials > phases > kernels.
 
@@ -235,23 +109,22 @@ def flame_svg(events: List[Dict[str, Any]], width: int = 960,
     timeline.  Kernel cells are scaled by exclusive time within their
     (trial, phase) cell; the remainder is unattributed python.
     """
-    view = aggregate(events)
-    if view.run_span is None and not view.trial_spans:
+    if report.run_span is None and not report.trial_spans:
         return None
 
-    run_dur = (float(view.run_span.get("dur_s") or 0.0)
-               if view.run_span else 0.0)
+    run_dur = (float(report.run_span.get("dur_s") or 0.0)
+               if report.run_span else 0.0)
     trials: List[Tuple[Optional[int], float]] = [
         (span.get("trial"), float(span.get("dur_s") or 0.0))
-        for span in sorted(view.trial_spans,
+        for span in sorted(report.trial_spans,
                            key=lambda s: (s.get("trial") is None,
                                           s.get("trial") or 0))]
     # phases outside any trial (final_training, run-level eval) get a
     # pseudo-trial cell so their kernels still show up
-    loose = sorted({phase for (trial, phase) in view.trial_phase_s
+    loose = sorted({phase for (trial, phase) in report.trial_phase_s
                     if trial is None})
     for phase in loose:
-        trials.append((None, view.trial_phase_s[(None, phase)]))
+        trials.append((None, report.trial_phase_s[(None, phase)]))
     total_child = sum(dur for _, dur in trials)
     if run_dur <= 0:
         run_dur = total_child
@@ -265,8 +138,8 @@ def flame_svg(events: List[Dict[str, Any]], width: int = 960,
         f'<rect width="{width}" height="{height}" fill="#fdfdfd"/>',
     ]
     run_label = "run"
-    if view.run_span is not None:
-        run_label = f"run {view.run_span.get('name', '')}".strip()
+    if report.run_span is not None:
+        run_label = f"run {report.run_span.get('name', '')}".strip()
     _cell(parts, 0, 2, width, row_h - 2, f"{run_label} {run_dur:.2f}s",
           f"{run_label}: {run_dur:.3f}s", "#35506e")
 
@@ -285,7 +158,7 @@ def flame_svg(events: List[Dict[str, Any]], width: int = 960,
             label = f"trial {trial}"
             phases = sorted(
                 ((phase, sec) for (t, phase), sec
-                 in view.trial_phase_s.items() if t == trial),
+                 in report.trial_phase_s.items() if t == trial),
                 key=lambda item: -item[1])
             tooltip = f"trial {trial}: {dur:.3f}s"
         _cell(parts, x, 2 + row_h, w, row_h - 2, f"{label} {dur:.2f}s",
@@ -304,7 +177,7 @@ def flame_svg(events: List[Dict[str, Any]], width: int = 960,
             # kernels inside this phase cell, by exclusive time
             kernels = sorted(
                 ((name, excl) for (t, p, name), excl
-                 in view.trial_kernels.items()
+                 in report.trial_kernels.items()
                  if t == trial and p == phase and excl > 0),
                 key=lambda item: -item[1])
             ktotal = sum(excl for _, excl in kernels)

@@ -1,15 +1,18 @@
 """Run reporting: one dashboard from any run directory's event log.
 
 ``repro report <run_dir>`` lands here: the JSONL event stream written by a
-traced run (:class:`~repro.obs.trace.RunTracer`) is folded into a
-:class:`RunReport`.  A search run shows its incumbent trajectory,
-phase-time breakdown, training dynamics, GP surrogate health (marginal
-likelihood per fit, acquisition values, predicted-vs-observed calibration),
-QAFT recovery, and process-pool telemetry; a serving run (``repro serve
---run-dir``) shows its SLO table.  Every figure is computed from the raw
-events, so percentiles are exact.  The text dashboard is optionally
-joined by SVG figures drawn with the same :mod:`repro.experiments.svg`
-machinery the paper figures use.
+traced run (:class:`~repro.obs.trace.RunTracer`) is folded, in one pass,
+into a :class:`RunReport`.  A search run shows its incumbent trajectory,
+phase-time breakdown (with the kernel timers' coverage and, in alloc
+mode, each phase's memory peak and allocation count), training dynamics,
+GP surrogate health (marginal likelihood per fit, acquisition values,
+predicted-vs-observed calibration), QAFT recovery, the process pool's
+batches and faults, and for a profiled run the kernel hotspot table
+(:mod:`repro.obs.profreport`); a serving run (``repro serve --run-dir``)
+shows its SLO table.  Every figure is computed from the raw events, so
+percentiles are exact.  The text dashboard is optionally joined by SVG
+figures drawn with the same :mod:`repro.experiments.svg` machinery the
+paper figures use.
 """
 
 from __future__ import annotations
@@ -21,10 +24,15 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .profreport import flame_svg, render_hotspots
 from .trace import read_events_tolerant
 
 #: phases shown in the breakdown, in pipeline order
 PHASE_ORDER = ("train", "ptq", "qaft", "eval", "final_training")
+
+#: the engine's fault counters, each event one fault
+POOL_FAULTS = ("pool.retries", "pool.crashes", "pool.timeout_kills",
+               "pool.respawns", "pool.degraded", "pool.start_failures")
 
 _BAR_WIDTH = 28
 
@@ -55,20 +63,38 @@ class RunReport:
     events: List[Dict[str, Any]]
     meta: Dict[str, Any] = field(default_factory=dict)
     run_span: Optional[Dict[str, Any]] = None
+    trial_spans: List[Dict[str, Any]] = field(default_factory=list)
     trial_scores: List[Tuple[int, float, Dict[str, Any]]] = \
         field(default_factory=list)      # (trial, score, tags)
     phase_totals: Dict[str, float] = field(default_factory=dict)
     phase_counts: Dict[str, int] = field(default_factory=dict)
+    #: alloc mode: max ``peak_bytes`` and summed ``allocs`` of the
+    #: phase spans' tags, by phase
+    phase_peak_bytes: Dict[str, int] = field(default_factory=dict)
+    phase_allocs: Dict[str, int] = field(default_factory=dict)
+    #: (trial, phase) -> summed phase span seconds
+    trial_phase_s: Dict[Tuple[Optional[int], str], float] = field(
+        default_factory=dict)
     epochs: List[Dict[str, Any]] = field(default_factory=list)
     gp_fits: List[Dict[str, Any]] = field(default_factory=list)
     residuals: List[Dict[str, Any]] = field(default_factory=list)
     acquisitions: List[Dict[str, Any]] = field(default_factory=list)
     qaft_recovery: List[Dict[str, Any]] = field(default_factory=list)
-    pool_batches: List[Dict[str, Any]] = field(default_factory=list)
-    profile_events: List[Dict[str, Any]] = field(default_factory=list)
+    #: the engine's ``pool.batch`` spans; their trials are the trial
+    #: spans whose ``parent`` is the batch's ``span``
+    batch_spans: List[Dict[str, Any]] = field(default_factory=list)
+    #: fault counter name -> summed count
+    pool_faults: Dict[str, int] = field(default_factory=dict)
+    #: mode of the kernel-scope profile events (``None``: not profiled)
+    profile_mode: Optional[str] = None
+    #: (phase, kernel) -> {calls, excl_s, incl_s, allocs}, merged across
+    #: trials and workers
+    kernels: Dict[Tuple[str, str], Dict[str, Any]] = field(
+        default_factory=dict)
+    #: (trial, phase, kernel) -> exclusive seconds
+    trial_kernels: Dict[Tuple[Optional[int], str, str], float] = field(
+        default_factory=dict)
     warnings: List[str] = field(default_factory=list)
-    #: every gauge and histogram value, by metric name
-    values: Dict[str, List[float]] = field(default_factory=dict)
     served: Dict[str, ServedModel] = field(default_factory=dict)
     drain_span: Optional[Dict[str, Any]] = None
 
@@ -147,25 +173,17 @@ def load_report(run_dir: Union[str, Path]) -> RunReport:
         name = event.get("name", "")
         if name.startswith("serve."):
             _fold_serve_event(report, type_, name, event)
-        if type_ in ("gauge", "hist"):
-            report.values.setdefault(name, []).append(float(event["value"]))
         if type_ == "meta":
             payload = {k: v for k, v in event.items()
                        if k not in ("type", "schema")}
             report.meta.update(payload)
         elif type_ == "span":
-            kind = event.get("kind")
-            if kind == "run":
-                report.run_span = event
-            elif kind == "phase":
-                report.phase_totals[name] = report.phase_totals.get(
-                    name, 0.0) + float(event.get("dur_s", 0.0))
-                report.phase_counts[name] = report.phase_counts.get(
-                    name, 0) + 1
-            elif kind == "epoch":
-                report.epochs.append(event)
-        elif type_ == "profile":
-            report.profile_events.append(event)
+            _fold_span(report, name, event)
+        elif type_ == "profile" and event.get("scope") == "kernel":
+            _fold_kernel(report, event)
+        elif type_ == "counter" and name in POOL_FAULTS:
+            report.pool_faults[name] = report.pool_faults.get(
+                name, 0) + int(event.get("value", 1))
         elif type_ == "gauge":
             if name == "trial.score":
                 report.trial_scores.append(
@@ -179,13 +197,61 @@ def load_report(run_dir: Union[str, Path]) -> RunReport:
                 report.acquisitions.append(event)
             elif name == "qaft.recovery":
                 report.qaft_recovery.append(event)
-            elif name == "pool.batch_wall_s":
-                report.pool_batches.append(event)
     if report.serving and report.drain_span is None:
         report.warnings.append(
             "no serve.drain span: the daemon never shut down cleanly "
             "(killed?); figures cover the log up to its last line")
     return report
+
+
+def _fold_span(report: RunReport, name: str,
+               event: Dict[str, Any]) -> None:
+    kind = event.get("kind")
+    if kind == "run":
+        report.run_span = event
+    elif kind == "trial":
+        report.trial_spans.append(event)
+    elif kind == "phase":
+        seconds = float(event.get("dur_s", 0.0))
+        report.phase_totals[name] = report.phase_totals.get(
+            name, 0.0) + seconds
+        report.phase_counts[name] = report.phase_counts.get(name, 0) + 1
+        key = (event.get("trial"), name)
+        report.trial_phase_s[key] = report.trial_phase_s.get(
+            key, 0.0) + seconds
+        tags = event.get("tags") or {}
+        if "peak_bytes" in tags:
+            report.phase_peak_bytes[name] = max(
+                report.phase_peak_bytes.get(name, 0),
+                int(tags["peak_bytes"]))
+            report.phase_allocs[name] = report.phase_allocs.get(
+                name, 0) + int(tags.get("allocs", 0))
+    elif kind == "epoch":
+        report.epochs.append(event)
+    elif name == "pool.batch":
+        report.batch_spans.append(event)
+
+
+def _fold_kernel(report: RunReport, event: Dict[str, Any]) -> None:
+    """Sum one kernel-scope profile event into the merged kernel stats.
+
+    Worker streams were flushed independently (one event per kernel per
+    trial), so merging is a straight sum.
+    """
+    if report.profile_mode is None:
+        report.profile_mode = str(event.get("mode") or "time")
+    phase = str(event.get("phase") or "")
+    name = str(event.get("name"))
+    excl = float(event.get("excl_s") or 0.0)
+    stat = report.kernels.setdefault(
+        (phase, name), {"calls": 0, "excl_s": 0.0, "incl_s": 0.0,
+                        "allocs": 0})
+    stat["calls"] += int(event.get("calls") or 0)
+    stat["excl_s"] += excl
+    stat["incl_s"] += float(event.get("incl_s") or 0.0)
+    stat["allocs"] += int(event.get("allocs") or 0)
+    key = (event.get("trial"), phase, name)
+    report.trial_kernels[key] = report.trial_kernels.get(key, 0.0) + excl
 
 
 def _fold_serve_event(report: RunReport, type_: Optional[str], name: str,
@@ -237,18 +303,39 @@ def _trajectory_lines(report: RunReport) -> List[str]:
     return lines
 
 
+def _fmt_bytes(n: int) -> str:
+    value = float(n)
+    for unit in ("B", "KiB", "MiB", "GiB"):
+        if abs(value) < 1024.0 or unit == "GiB":
+            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
+        value /= 1024.0
+    return f"{int(n)}B"
+
+
 def _phase_lines(report: RunReport) -> List[str]:
+    """One line per phase: its span seconds, and for a profiled run the
+    share the kernel timers cover (plus memory figures in alloc mode)."""
     total = sum(report.phase_totals.values())
     if total <= 0:
         return ["  (no phase spans recorded)"]
+    kernel_s: Dict[str, float] = {}
+    for (phase, _), stat in report.kernels.items():
+        kernel_s[phase] = kernel_s.get(phase, 0.0) + stat["excl_s"]
     lines = []
     names = [p for p in PHASE_ORDER if p in report.phase_totals]
     names += sorted(set(report.phase_totals) - set(PHASE_ORDER))
     for name in names:
         seconds = report.phase_totals[name]
         share = seconds / total
-        lines.append(f"  {name:<14} {_bar(share)} {share:6.1%} "
-                     f"{seconds:9.2f}s  (n={report.phase_counts[name]})")
+        row = (f"  {name:<14} {_bar(share)} {share:6.1%} "
+               f"{seconds:9.2f}s  (n={report.phase_counts[name]})")
+        if report.kernels:
+            coverage = kernel_s.get(name, 0.0) / seconds if seconds else 0.0
+            row += f"  kernel coverage {coverage:.0%}"
+        if name in report.phase_peak_bytes:
+            row += (f"  peak {_fmt_bytes(report.phase_peak_bytes[name])}"
+                    f"  allocs {report.phase_allocs[name]}")
+        lines.append(row)
     return lines
 
 
@@ -301,22 +388,46 @@ def _qaft_lines(report: RunReport) -> List[str]:
 
 
 def _pool_lines(report: RunReport) -> List[str]:
-    if not report.pool_batches:
-        return ["  (serial run - no pool telemetry)"]
-    lines = [f"  batches: {len(report.pool_batches)}"]
-    util = report.values.get("pool.utilisation")
-    if util:
-        lines.append(f"  worker utilisation mean={np.mean(util):.1%} "
-                     f"min={min(util):.1%}")
-    skew = report.values.get("pool.skew")
-    if skew:
-        lines.append(f"  task skew (max/mean) mean={np.mean(skew):.2f} "
-                     f"max={max(skew):.2f}")
-    task = report.values.get("pool.task_s")
-    if task:
-        lines.append(f"  task time p50={np.percentile(task, 50):.3g}s "
-                     f"p90={np.percentile(task, 90):.3g}s "
-                     f"max={max(task):.3g}s")
+    """Batches, utilisation, skew and task times from the ``pool.batch``
+    spans and their trial spans, then the non-zero fault counts."""
+    lines = []
+    if not report.batch_spans:
+        lines.append("  (no pool batches recorded)")
+    else:
+        lines.append(f"  batches: {len(report.batch_spans)}")
+        task_s: Dict[Any, List[float]] = {}
+        for span in report.trial_spans:
+            task_s.setdefault(span.get("parent"), []).append(
+                float(span.get("dur_s", 0.0)))
+        util, skew, tasks = [], [], []
+        for batch in report.batch_spans:
+            durations = task_s.get(batch.get("span"))
+            if not durations:
+                continue
+            tasks += durations
+            tags = batch.get("tags") or {}
+            workers = tags.get("workers", 1) if tags.get("parallel") else 1
+            wall = float(batch.get("dur_s", 0.0))
+            busy = sum(durations)
+            if wall > 0:
+                util.append(min(1.0, busy / (workers * wall)))
+            mean_task = busy / len(durations)
+            if mean_task > 0:
+                skew.append(max(durations) / mean_task)
+        if util:
+            lines.append(f"  worker utilisation mean={np.mean(util):.1%} "
+                         f"min={min(util):.1%}")
+        if skew:
+            lines.append(f"  task skew (max/mean) mean={np.mean(skew):.2f} "
+                         f"max={max(skew):.2f}")
+        if tasks:
+            lines.append(f"  task time p50={np.percentile(tasks, 50):.3g}s "
+                         f"p90={np.percentile(tasks, 90):.3g}s "
+                         f"max={max(tasks):.3g}s")
+    faults = [f"{name.split('.', 1)[1]} {report.pool_faults[name]}"
+              for name in POOL_FAULTS if report.pool_faults.get(name)]
+    if faults:
+        lines.append(f"  faults: {', '.join(faults)}")
     return lines
 
 
@@ -400,12 +511,10 @@ def render_text(report: RunReport) -> str:
     lines.append("")
     lines.append("process pool:")
     lines.extend(_pool_lines(report))
-    if report.profile_events:
-        # lazy import: profreport shares this module's event plumbing
-        from .profreport import hotspot_lines
+    if report.kernels:
         lines.append("")
         lines.append("profiler hotspots:")
-        lines.extend(hotspot_lines(report.events))
+        lines.extend(render_hotspots(report).splitlines())
     return "\n".join(lines)
 
 
@@ -467,9 +576,8 @@ def write_report(run_dir: Union[str, Path],
             calibration_path = svg_path.with_name(
                 svg_path.stem + "-calibration" + (svg_path.suffix or ".svg"))
             calibration_path.write_text(calibration)
-        if report.profile_events:
-            from .profreport import flame_svg
-            flame = flame_svg(report.events)
+        if report.kernels:
+            flame = flame_svg(report)
             if flame is not None:
                 flame_path = svg_path.with_name(
                     svg_path.stem + "-flame" + (svg_path.suffix or ".svg"))

@@ -11,11 +11,11 @@ CLI wrapper; the pytest suite runs the same checks as a tier-1 test.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
-from .trace import EVENT_TYPES, SPAN_KINDS, TRACE_SCHEMA_VERSION, events_path
+from .trace import (EVENT_TYPES, SPAN_KINDS, TRACE_SCHEMA_VERSION,
+                    events_path, read_events_tolerant)
 
 #: fields every span event must carry
 SPAN_FIELDS = ("kind", "name", "span", "parent", "trial", "t_wall",
@@ -28,8 +28,9 @@ METRIC_FIELDS = ("name", "value", "trial", "tags")
 PROFILE_FIELDS = ("scope", "name", "phase", "mode", "trial", "calls",
                   "excl_s", "incl_s", "tags")
 
-#: valid ``scope`` values of a profile event
-PROFILE_SCOPES = ("phase", "kernel")
+#: valid ``scope`` values of a profile event (a phase's figures live on
+#: its span)
+PROFILE_SCOPES = ("kernel",)
 
 
 def _problem(index: int, message: str) -> str:
@@ -121,23 +122,15 @@ def validate_events(events: Sequence[Dict[str, Any]]) -> List[str]:
 
 
 def validate_events_file(path: Union[str, Path]) -> List[str]:
-    """Validate a JSONL event log (run directory or file path)."""
+    """Validate a JSONL event log (run directory or file path).
+
+    Reads through :func:`~repro.obs.trace.read_events_tolerant`, the
+    report's own parser: each of its warnings (no log, an empty log, a
+    line that is not a JSON object) is a problem here.
+    """
+    events, problems = read_events_tolerant(path)
     resolved = events_path(path)
-    if not resolved.exists():
-        return [f"{resolved}: no event log found"]
-    events = []
-    problems: List[str] = []
-    with open(resolved) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                problems.append(f"line {line_no}: invalid JSON ({exc})")
-    problems.extend(validate_events(events))
-    return [f"{resolved}: {p}" for p in problems]
+    return problems + [f"{resolved}: {p}" for p in validate_events(events)]
 
 
 def validate_path(path: Union[str, Path]) -> List[str]:

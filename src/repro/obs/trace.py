@@ -4,8 +4,8 @@ The BOMP-NAS loop is a pipeline of expensive stages (early train -> PTQ ->
 QAFT -> eval -> GP update); this module records it as a stream of *events*:
 
 - **spans** — timed sections forming a hierarchy
-  ``run > trial > phase{train,ptq,qaft,eval} > epoch`` with wall-clock
-  start, monotonic duration and free-form tags;
+  ``run > pool.batch > trial > phase{train,ptq,qaft,eval} > epoch`` with
+  wall-clock start, monotonic duration and free-form tags;
 - **metrics** — raw counter, gauge and histogram observations, one
   event each, emitted alongside the spans; readers such as ``repro
   report`` aggregate them from the log (exact percentiles, no buckets).
@@ -98,7 +98,7 @@ class Span:
     def __exit__(self, *exc_info: Any) -> None:
         self.duration = time.perf_counter() - self._t0
         if self.kind == "phase" and _profile._active is not None:
-            _profile._active.phase_finished(self.name, self.duration)
+            _profile._active.phase_finished(self)
         self.recorder._span_finished(self)
 
     def elapsed(self) -> float:

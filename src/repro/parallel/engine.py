@@ -11,14 +11,20 @@ module globals for the lifetime of the pool.
 Because trials are deterministically seeded (:mod:`repro.parallel.seeding`)
 and results are consumed in spec order, the engine's output is identical
 regardless of worker count, completion order, or whether the pool could be
-created at all — and, since PR 4, regardless of *worker failures*: a
+created at all — and regardless of *worker failures*: a
 :class:`RetryPolicy` governs per-trial timeouts, bounded retry with
 exponential backoff on worker errors and corrupt outcomes, pool respawn
 after crashes (``BrokenProcessPool``), and graceful degradation to serial
-in-process evaluation when the pool repeatedly dies.  Every recovery
-action is surfaced through :mod:`repro.obs` counters (``pool.retries``,
-``pool.timeout_kills``, ``pool.respawns``, ``pool.degraded``) and the
-console reporter.
+in-process evaluation when the pool repeatedly dies.  Every fault is
+surfaced through one :mod:`repro.obs` counter event (``pool.retries``,
+``pool.crashes``, ``pool.timeout_kills``, ``pool.respawns``,
+``pool.degraded``, ``pool.start_failures``) and the console reporter.
+
+Each :meth:`TrialEngine.evaluate` call is one ``pool.batch`` span
+(tags ``tasks``, ``workers``, ``parallel``), and the batch's trial
+spans are ingested as its children: the span is the batch's only
+record.  Readers derive utilisation, skew and task times from it, and a
+trial's queue wait is its span's ``t_wall`` minus the batch's.
 
 The worker path hosts the deterministic fault-injection hooks of
 :mod:`repro.resilience.faults` (``BOMP_FAULTS``), which is how the tier-1
@@ -440,30 +446,26 @@ class TrialEngine:
         """
         if not specs:
             return []
-        submit_wall = time.time()
-        batch_start = time.perf_counter()
-        outcomes_by_index: Dict[int, TrialOutcome] = {}
-        if self._pool is not None:
-            self._evaluate_pooled(specs, outcomes_by_index)
-        remaining = [s for s in specs if s.index not in outcomes_by_index]
-        if remaining:
-            for outcome in self._evaluate_serial(remaining):
-                outcomes_by_index[outcome.index] = outcome
-        outcomes = [outcomes_by_index[spec.index] for spec in specs]
-        batch_wall = time.perf_counter() - batch_start
-        batches: List[List["TrialResult"]] = []
         recorder = get_recorder()
-        for spec, outcome in zip(specs, outcomes):
-            if outcome.error is not None:
-                raise TrialEvaluationError(
-                    f"trial {spec.index} failed in worker:\n{outcome.error}")
-            recorder.ingest(outcome.events)
-            batches.append(outcome.results)
-        if recorder.enabled:
-            self._record_pool_telemetry(outcomes,
-                                        pooled=self._pool is not None,
-                                        batch_wall=batch_wall,
-                                        submit_wall=submit_wall)
+        with recorder.span("pool.batch", tasks=len(specs),
+                           workers=self.workers) as batch:
+            outcomes: Dict[int, TrialOutcome] = {}
+            if self._pool is not None:
+                self._evaluate_pooled(specs, outcomes)
+            remaining = [s for s in specs if s.index not in outcomes]
+            if remaining:
+                for outcome in self._evaluate_serial(remaining):
+                    outcomes[outcome.index] = outcome
+            batch.tags["parallel"] = self._pool is not None
+            batches: List[List["TrialResult"]] = []
+            for spec in specs:
+                outcome = outcomes[spec.index]
+                if outcome.error is not None:
+                    raise TrialEvaluationError(
+                        f"trial {spec.index} failed in worker:\n"
+                        f"{outcome.error}")
+                recorder.ingest(outcome.events)  # trial spans: children
+                batches.append(outcome.results)
         return batches
 
     def _evaluate_pooled(self, specs: List[TrialSpec],
@@ -535,43 +537,6 @@ class TrialEngine:
                             out[spec.index] = outcome
                 self._pool_failed(pool_death)
             pending = [s for s in pending if s.index not in out]
-
-    def _record_pool_telemetry(self, outcomes: List[TrialOutcome],
-                               pooled: bool, batch_wall: float,
-                               submit_wall: float) -> None:
-        """Emit per-batch pool health: queue wait, utilisation, skew.
-
-        Task durations come from each outcome's trial span, so this works
-        on both the pool and the serial fallback (tagged ``parallel``).
-        """
-        recorder = get_recorder()
-        durations = []
-        for outcome in outcomes:
-            for event in outcome.events or ():
-                if event.get("type") == "span" and \
-                        event.get("kind") == "trial":
-                    durations.append(float(event["dur_s"]))
-                    # queue wait: submit -> worker picked the task up
-                    recorder.observe(
-                        "pool.queue_wait_s",
-                        max(0.0, event["t_wall"] - submit_wall),
-                        trial=event.get("trial"))
-                    break
-        if not durations:
-            return
-        for duration in durations:
-            recorder.observe("pool.task_s", duration)
-        workers = self.workers if pooled else 1
-        busy = sum(durations)
-        recorder.gauge("pool.batch_wall_s", batch_wall,
-                       tasks=len(outcomes), workers=workers,
-                       parallel=pooled)
-        if batch_wall > 0:
-            recorder.gauge("pool.utilisation",
-                           min(1.0, busy / (workers * batch_wall)))
-        mean_task = busy / len(durations)
-        if mean_task > 0:
-            recorder.gauge("pool.skew", max(durations) / mean_task)
 
     def _evaluate_serial(self, specs: List[TrialSpec]) -> List[TrialOutcome]:
         evaluator = self._serial_evaluator()

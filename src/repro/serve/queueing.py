@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

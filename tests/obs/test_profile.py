@@ -107,29 +107,22 @@ class TestKernelTimer:
                     pass
         assert ("train", "k") in profiler.kernels
         assert ("eval", "k") in profiler.kernels
-        assert set(profiler.phases) == {"train", "eval"}
 
-    def test_phase_wall_is_the_given_duration(self):
-        """The profiler reads no clock for phases: a phase's wall time is
-        the sum of the durations its closing spans hand over."""
-        profiler = KernelProfiler()
-        profiler.phase_started("train")
-        time.sleep(0.01)
-        profiler.phase_finished("train", 0.25)
-        profiler.phase_started("train")
-        profiler.phase_finished("train", 0.5)
-        stat = profiler.phases["train"]
-        assert (stat.calls, stat.wall_s) == (2, 0.75)
-
-    def test_phase_wall_equals_span_event_duration(self):
+    def test_time_mode_phase_span_carries_no_memory_tag(self):
+        """The span is the phase's one record; time mode adds nothing to
+        it, and the profiler flushes no phase-scope event."""
         profiler = KernelProfiler()
         recorder = TraceRecorder()
         from repro.obs.trace import use_recorder
         with use_recorder(recorder), use_profiler(profiler):
             with recorder.span("train", kind="phase"):
-                time.sleep(0.005)
+                with kernel("k"):
+                    np.zeros(16)
+        profiler.flush_to(recorder)
         [span] = [e for e in recorder.events if e["type"] == "span"]
-        assert profiler.phases["train"].wall_s == span["dur_s"]
+        assert span["tags"] == {}
+        assert [e["scope"] for e in recorder.events
+                if e["type"] == "profile"] == ["kernel"]
 
     def test_flush_emits_valid_events_and_resets(self):
         from repro.obs.schema import validate_events
@@ -198,6 +191,7 @@ class TestAllocMode:
         assert np.zeros is unwrapped
 
     def test_phase_peak_bytes_tracked(self):
+        """Alloc mode writes the phase's memory figures into its span."""
         profiler = KernelProfiler("alloc")
         recorder = TraceRecorder()
         from repro.obs.trace import use_recorder
@@ -205,8 +199,10 @@ class TestAllocMode:
             with recorder.span("train", kind="phase"):
                 buf = np.zeros(1 << 16)  # 512 KiB
                 del buf
-        stat = profiler.phases["train"]
-        assert stat.peak_bytes >= (1 << 16) * 8
+        [span] = [e for e in recorder.events if e["type"] == "span"]
+        assert set(span["tags"]) == {"allocs", "peak_bytes", "net_bytes"}
+        assert span["tags"]["peak_bytes"] >= (1 << 16) * 8
+        assert span["tags"]["allocs"] >= 1
 
     def test_nested_alloc_profilers_compose(self):
         outer_profiler = KernelProfiler("alloc")
@@ -271,25 +267,36 @@ class TestProfileInvariance:
                         and e["scope"] == "kernel"}
         assert kernel_trials >= {t.index for t in serial.trials}
 
-    def test_phase_walls_match_span_durations(self, serial_run, tmp_path,
-                                              monkeypatch):
-        """One phase clock: each trial's profiled phase wall time is the
-        sum of that trial's phase span durations, exactly."""
+    def test_one_record_per_phase_and_batch(self, serial_run, tmp_path,
+                                            monkeypatch):
+        """A profiled ``workers=2`` search records each phase by its span
+        alone and each pool batch by one ``pool.batch`` span whose
+        children are the batch's trial spans."""
         from repro.obs.trace import RunTracer, read_events
-        config, dataset, _ = serial_run
+        config, dataset, serial = serial_run
         monkeypatch.setenv(profile.PROFILE_ENV, "1")
         with RunTracer(tmp_path / "run3") as tracer:
-            BOMPNAS(config, dataset).run(final_training=False, workers=1,
+            BOMPNAS(config, dataset).run(final_training=False, workers=2,
                                          tracer=tracer)
         events = read_events(tmp_path / "run3")
-        span_s = {}
-        for event in events:
-            if event["type"] == "span" and event["kind"] == "phase":
-                key = (event["trial"], event["name"])
-                span_s[key] = span_s.get(key, 0.0) + event["dur_s"]
-        profiled = {(e["trial"], e["name"]): e["excl_s"] for e in events
-                    if e["type"] == "profile" and e["scope"] == "phase"}
-        assert span_s and profiled == span_s
+        assert not [e for e in events if e["type"] == "profile"
+                    and e["scope"] != "kernel"]
+        names = {e.get("name") for e in events}
+        assert not names & {"pool.batch_wall_s", "pool.utilisation",
+                            "pool.skew", "pool.task_s", "pool.queue_wait_s"}
+        spans = {e["span"]: e for e in events if e["type"] == "span"}
+        trials = [e for e in spans.values() if e["kind"] == "trial"]
+        assert sorted(e["trial"] for e in trials) == \
+            [t.index for t in serial.trials]
+        children = {}
+        for trial in trials:
+            batch = spans[trial["parent"]]
+            assert (batch["kind"], batch["name"]) == ("span", "pool.batch")
+            assert trial["t_wall"] >= batch["t_wall"]  # queue wait >= 0
+            children[batch["span"]] = children.get(batch["span"], 0) + 1
+        for span_id, count in children.items():
+            assert spans[span_id]["tags"]["tasks"] == count
+            assert spans[span_id]["tags"]["workers"] == 2
 
     def test_alloc_mode_identical(self, serial_run, tmp_path, monkeypatch):
         from repro.obs.trace import RunTracer, read_events

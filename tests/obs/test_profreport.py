@@ -1,18 +1,19 @@
-"""Profile reporting: merged hotspot view, flame SVG, tolerant loading."""
+"""Profile reporting: the one fold, hotspot table, flame SVG, tolerance."""
 
 import json
 
 import pytest
 
-from repro.obs.profreport import (aggregate, flame_svg, hotspot_lines,
-                                  render_hotspots)
+from repro.obs.profreport import flame_svg, render_hotspots
+from repro.obs.report import load_report, render_text
 from repro.obs.trace import EVENTS_FILENAME
 
 
-def _span(kind, name, span_id, parent=None, trial=None, dur=1.0):
+def _span(kind, name, span_id, parent=None, trial=None, dur=1.0,
+          tags=None):
     return {"type": "span", "kind": kind, "name": name, "span": span_id,
             "parent": parent, "trial": trial, "t_wall": 0.0, "dur_s": dur,
-            "tags": {}}
+            "tags": tags or {}}
 
 
 def _profile(scope, name, phase="", trial=None, calls=1, excl=0.5,
@@ -23,9 +24,19 @@ def _profile(scope, name, phase="", trial=None, calls=1, excl=0.5,
             "peak_bytes": None, "net_bytes": None, "tags": {}}
 
 
+def _fold(tmp_path, events):
+    """The report ``load_report`` folds from ``events`` written as a log."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir(parents=True)
+    with open(run_dir / EVENTS_FILENAME, "w") as handle:
+        handle.writelines(json.dumps(event) + "\n" for event in events)
+    return load_report(run_dir)
+
+
 @pytest.fixture
 def synthetic_events():
-    """Two trials' worth of spans + profile events, as after ingest."""
+    """Two trials' worth of spans + kernel profile events, as after
+    ingest."""
     events = [
         {"type": "meta", "schema": 1},
         _span("run", "search", 1, dur=4.0),
@@ -40,77 +51,98 @@ def synthetic_events():
             events.append(_span("phase", phase, sid, parent=parent,
                                 trial=trial, dur=dur))
             sid += 1
-            events.append(_profile("phase", phase, trial=trial,
-                                   calls=1, excl=dur, incl=dur))
             events.append(_profile("kernel", "nn.conv2d.fwd", phase=phase,
                                    trial=trial, calls=10, excl=dur * 0.5,
                                    incl=dur * 0.6))
     return events
 
 
-class TestAggregate:
-    def test_merges_across_trials(self, synthetic_events):
-        view = aggregate(synthetic_events)
-        assert view.mode == "time"
-        assert view.phases["train"]["calls"] == 2
-        assert view.phases["train"]["excl_s"] == pytest.approx(2.4)
-        stat = view.kernels[("train", "nn.conv2d.fwd")]
+class TestFold:
+    def test_merges_across_trials(self, tmp_path, synthetic_events):
+        report = _fold(tmp_path, synthetic_events)
+        assert report.profile_mode == "time"
+        assert report.phase_counts["train"] == 2
+        assert report.phase_totals["train"] == pytest.approx(2.4)
+        stat = report.kernels[("train", "nn.conv2d.fwd")]
         assert stat["calls"] == 20
         assert stat["excl_s"] == pytest.approx(1.2)
+        assert report.trial_kernels[(1, "eval", "nn.conv2d.fwd")] == \
+            pytest.approx(0.4)
 
-    def test_span_walls_collected(self, synthetic_events):
-        view = aggregate(synthetic_events)
-        assert view.run_span["dur_s"] == 4.0
-        assert len(view.trial_spans) == 2
-        assert view.trial_phase_s[(0, "eval")] == pytest.approx(0.8)
+    def test_span_walls_collected(self, tmp_path, synthetic_events):
+        report = _fold(tmp_path, synthetic_events)
+        assert report.run_span["dur_s"] == 4.0
+        assert len(report.trial_spans) == 2
+        assert report.trial_phase_s[(0, "eval")] == pytest.approx(0.8)
 
-    def test_empty_events(self):
-        view = aggregate([])
-        assert not view.has_profile
-        assert view.run_span is None
+    def test_empty_log(self, tmp_path):
+        report = _fold(tmp_path, [])
+        assert not report.kernels and report.profile_mode is None
+        assert report.run_span is None
+
+    def test_alloc_phase_figures_from_span_tags(self, tmp_path):
+        """Peak is the max of the phase spans' ``peak_bytes``, allocs
+        their sum; the dashboard prints both on the phase's line."""
+        events = [
+            _span("phase", "train", 1, trial=0, dur=1.0,
+                  tags={"allocs": 5, "peak_bytes": 2048, "net_bytes": 0}),
+            _span("phase", "train", 2, trial=1, dur=1.0,
+                  tags={"allocs": 7, "peak_bytes": 1024, "net_bytes": 0}),
+            _profile("kernel", "nn.bn.fwd", phase="train", trial=0,
+                     excl=0.5, mode="alloc", allocs=3)]
+        report = _fold(tmp_path, events)
+        assert report.profile_mode == "alloc"
+        assert report.phase_peak_bytes == {"train": 2048}
+        assert report.phase_allocs == {"train": 12}
+        [line] = [line for line in render_text(report).splitlines()
+                  if line.startswith("  train ")]
+        assert line.endswith("2.00s  (n=2)  kernel coverage 25%"
+                             "  peak 2.0KiB  allocs 12")
 
 
 class TestRenderHotspots:
-    def test_table_contents(self, synthetic_events):
-        text = render_hotspots(aggregate(synthetic_events))
-        assert "phase breakdown" in text
+    def test_table_contents(self, tmp_path, synthetic_events):
+        text = render_hotspots(_fold(tmp_path, synthetic_events))
+        assert text.splitlines()[:2] == [
+            "mode: time", "top 2 kernels by exclusive time:"]
         assert "nn.conv2d.fwd" in text
-        # one wall time per phase, no cross-check of a clock with itself
-        assert "  train                2.400s  n=2  kernel coverage 50%" \
-            in text
-        assert "delta" not in text and "spans" not in text
+        # phase wall times are the dashboard's, not the table's
+        assert "phase breakdown" not in text and "coverage" not in text
 
-    def test_no_profile_message(self):
-        text = render_hotspots(aggregate([_span("run", "search", 1)]))
+    def test_each_phase_wall_printed_once(self, tmp_path, synthetic_events):
+        text = render_text(_fold(tmp_path, synthetic_events))
+        for name, row in (("train", "2.40s  (n=2)  kernel coverage 50%"),
+                          ("eval", "1.60s  (n=2)  kernel coverage 50%")):
+            [line] = [line for line in text.splitlines()
+                      if line.split()[:1] == [name]]
+            assert line.endswith(row)
+
+    def test_no_profile_message(self, tmp_path):
+        text = render_hotspots(_fold(tmp_path, [_span("run", "search", 1)]))
         assert "no profile events" in text
         assert "--profile" in text
 
-    def test_top_n_truncates(self, synthetic_events):
-        text = render_hotspots(aggregate(synthetic_events), top_n=1)
+    def test_top_n_truncates(self, tmp_path, synthetic_events):
+        text = render_hotspots(_fold(tmp_path, synthetic_events), top_n=1)
         assert "1 more kernels" in text
-
-    def test_hotspot_lines_match_render(self, synthetic_events):
-        lines = hotspot_lines(synthetic_events)
-        assert lines == render_hotspots(aggregate(synthetic_events)
-                                        ).splitlines()
 
 
 class TestFlameSvg:
-    def test_structure(self, synthetic_events):
-        svg = flame_svg(synthetic_events)
+    def test_structure(self, tmp_path, synthetic_events):
+        svg = flame_svg(_fold(tmp_path, synthetic_events))
         assert svg is not None and svg.startswith("<svg")
         assert "trial 0" in svg and "trial 1" in svg
         assert "train" in svg and "eval" in svg
         assert "fwd" in svg  # kernel cells labelled by leaf name
         assert "unattributed" in svg  # phase time not covered by kernels
 
-    def test_no_spans_returns_none(self):
-        assert flame_svg([]) is None
-        assert flame_svg([_profile("kernel", "k")]) is None
+    def test_no_spans_returns_none(self, tmp_path):
+        assert flame_svg(_fold(tmp_path / "a", [])) is None
+        assert flame_svg(_fold(tmp_path / "b",
+                               [_profile("kernel", "k")])) is None
 
-    def test_escapes_markup(self):
-        events = [_span("run", 'se<arch>"x"', 1, dur=1.0)]
-        svg = flame_svg(events)
+    def test_escapes_markup(self, tmp_path):
+        svg = flame_svg(_fold(tmp_path, [_span("run", 'se<arch>"x"', 1)]))
         assert "<arch>" not in svg
         assert "&lt;arch&gt;" in svg
 
@@ -119,7 +151,6 @@ class TestLoadReportTolerance:
     """A missing, torn or empty log degrades to warnings in the report."""
 
     def test_round_trip_through_file(self, tmp_path, synthetic_events):
-        from repro.obs.report import load_report
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         with open(run_dir / EVENTS_FILENAME, "w") as handle:
@@ -127,19 +158,16 @@ class TestLoadReportTolerance:
                 handle.write(json.dumps(event) + "\n")
         report = load_report(run_dir)
         assert report.warnings == []
-        view = aggregate(report.events)
-        assert view.has_profile
-        assert view.phases["train"]["excl_s"] == pytest.approx(2.4)
+        assert report.kernels
+        assert report.phase_totals["train"] == pytest.approx(2.4)
 
     def test_missing_log_warns_not_raises(self, tmp_path):
-        from repro.obs.report import load_report
         report = load_report(tmp_path)
-        assert not report.profile_events
+        assert not report.kernels
         assert any("no event log" in w for w in report.warnings)
 
     def test_torn_tail_dropped_with_warning(self, tmp_path,
                                             synthetic_events):
-        from repro.obs.report import load_report
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         with open(run_dir / EVENTS_FILENAME, "w") as handle:
@@ -148,11 +176,10 @@ class TestLoadReportTolerance:
             handle.write('{"type": "profile", "scope": "ker')  # torn
         report = load_report(run_dir)
         # the parseable prefix survived
-        assert aggregate(report.events).has_profile
+        assert report.kernels
         assert any("torn tail" in w for w in report.warnings)
 
     def test_empty_log_warns(self, tmp_path):
-        from repro.obs.report import load_report
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         (run_dir / EVENTS_FILENAME).touch()
@@ -163,7 +190,6 @@ class TestLoadReportTolerance:
 class TestReportIntegration:
     def test_report_crash_proof_on_torn_log(self, tmp_path,
                                             synthetic_events):
-        from repro.obs.report import load_report, render_text
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         with open(run_dir / EVENTS_FILENAME, "w") as handle:
@@ -177,7 +203,6 @@ class TestReportIntegration:
         assert "profiler hotspots:" in text  # profile section still folded in
 
     def test_report_missing_log_renders_warning(self, tmp_path):
-        from repro.obs.report import load_report, render_text
         report = load_report(tmp_path)
         assert report.events == []
         assert "WARNING" in render_text(report)
@@ -201,7 +226,7 @@ class TestReportCliProfile:
         assert main(["report", str(run_dir), "--svg-out", str(svg)]) == 0
         out = capsys.readouterr().out
         assert "profiler hotspots:" in out
-        assert "phase breakdown" in out
+        assert "kernel coverage 50%" in out
         assert "nn.conv2d.fwd" in out
         assert (tmp_path / "x-flame.svg").exists()
 

@@ -102,38 +102,94 @@ class TestRendering:
         assert len(report.events) == len(read_events(run_dir))
 
 
+def _batch_events(batches):
+    """A ``pool.batch`` span per ``(wall_s, workers, parallel, task_s)``
+    with one child trial span per task, children first, as ingested."""
+    events, span_id, trial = [], 1, 0
+    for wall, workers, parallel, task_s in batches:
+        batch_id = span_id
+        span_id += 1
+        for duration in task_s:
+            events.append({"type": "span", "kind": "trial",
+                           "name": "trial", "span": span_id,
+                           "parent": batch_id, "trial": trial,
+                           "t_wall": 0.0, "dur_s": duration, "tags": {}})
+            span_id += 1
+            trial += 1
+        events.append({"type": "span", "kind": "span", "name": "pool.batch",
+                       "span": batch_id, "parent": None, "trial": None,
+                       "t_wall": 0.0, "dur_s": wall,
+                       "tags": {"tasks": len(task_s), "workers": workers,
+                                "parallel": parallel}})
+    return events
+
+
+def _render(run_dir, events):
+    with open(Path(run_dir) / EVENTS_FILENAME, "w") as handle:
+        handle.writelines(json.dumps(e) + "\n" for e in events)
+    return render_text(load_report(run_dir))
+
+
 class TestPoolFigures:
-    """Pool figures come from the raw events: exact, never bucket edges."""
+    """Pool figures come from the ``pool.batch`` spans and their trial
+    spans: exact, never bucket edges."""
 
     @settings(max_examples=40, deadline=None)
     @given(task_s=st.lists(st.floats(min_value=1e-4, max_value=500.0),
                            min_size=1, max_size=40))
     def test_task_time_percentiles_are_exact(self, task_s):
-        events = [{"type": "gauge", "name": "pool.batch_wall_s",
-                   "value": 1.0, "trial": None, "tags": {}}]
-        events += [{"type": "hist", "name": "pool.task_s", "value": value,
-                    "trial": None, "tags": {}} for value in task_s]
         with tempfile.TemporaryDirectory() as tmp:
-            with open(Path(tmp) / EVENTS_FILENAME, "w") as handle:
-                handle.writelines(json.dumps(e) + "\n" for e in events)
-            text = render_text(load_report(tmp))
+            text = _render(tmp, _batch_events([(1.0, 2, True, task_s)]))
+        assert "batches: 1" in text
         assert (f"task time p50={np.percentile(task_s, 50):.3g}s "
                 f"p90={np.percentile(task_s, 90):.3g}s "
                 f"max={max(task_s):.3g}s") in text
 
-    def test_utilisation_and_skew_from_gauges(self, tmp_path):
-        events = [{"type": "gauge", "name": name, "value": value,
-                   "trial": None, "tags": {}}
-                  for name, value in (("pool.batch_wall_s", 2.0),
-                                      ("pool.utilisation", 0.5),
-                                      ("pool.utilisation", 0.9),
-                                      ("pool.skew", 1.25),
-                                      ("pool.skew", 1.75))]
-        with open(tmp_path / EVENTS_FILENAME, "w") as handle:
-            handle.writelines(json.dumps(e) + "\n" for e in events)
-        text = render_text(load_report(tmp_path))
+    def test_utilisation_and_skew_from_spans(self, tmp_path):
+        # busy 2 s on 2 workers: 50% of a 2 s batch, 90% of a 10/9 s one
+        text = _render(tmp_path, _batch_events(
+            [(2.0, 2, True, [0.75, 1.25]),
+             (2.0 / 1.8, 2, True, [0.25, 1.75])]))
+        assert "batches: 2" in text
         assert "worker utilisation mean=70.0% min=50.0%" in text
         assert "task skew (max/mean) mean=1.50 max=1.75" in text
+
+    def test_serial_batch_counts_one_worker(self, tmp_path):
+        text = _render(tmp_path, _batch_events([(4.0, 2, False, [1.0, 1.0])]))
+        assert "worker utilisation mean=50.0% min=50.0%" in text
+
+    def test_fault_counts_printed(self, tmp_path):
+        events = _batch_events([(1.0, 2, True, [0.5])])
+        events += [{"type": "counter", "name": name, "value": 1,
+                    "trial": 0, "tags": {}}
+                   for name in ("pool.retries", "pool.crashes",
+                                "pool.retries", "pool.respawns")]
+        text = _render(tmp_path, events)
+        assert "  faults: retries 2, crashes 1, respawns 1" in text
+
+    def test_no_fault_line_without_faults(self, tmp_path):
+        text = _render(tmp_path, _batch_events([(1.0, 2, True, [0.5])]))
+        assert "faults:" not in text
+
+    def test_earlier_log_renders_without_its_duplicates(self, tmp_path):
+        """A log with phase-scope profile events and pool gauges (written
+        before phases and batches were recorded by their spans alone)
+        still renders; those events are not read."""
+        events = [{"type": "span", "kind": "phase", "name": "train",
+                   "span": 1, "parent": None, "trial": 0, "t_wall": 0.0,
+                   "dur_s": 2.0, "tags": {}},
+                  {"type": "profile", "scope": "phase", "name": "train",
+                   "phase": "train", "mode": "time", "trial": 0,
+                   "calls": 1, "excl_s": 2.0, "incl_s": 2.0, "allocs": None,
+                   "peak_bytes": None, "net_bytes": None, "tags": {}},
+                  {"type": "gauge", "name": "pool.batch_wall_s",
+                   "value": 2.0, "trial": None, "tags": {}}]
+        text = _render(tmp_path, events)
+        assert "  (no pool batches recorded)" in text
+        assert "profiler hotspots:" not in text
+        [line] = [line for line in text.splitlines()
+                  if line.startswith("  train ")]
+        assert line.endswith("2.00s  (n=1)")
 
 
 class TestProfiledSequentialRun:
@@ -167,6 +223,20 @@ class TestProfiledSequentialRun:
         for event in fits:
             assert set(event["tags"]) == {"n_obs", "n_fantasies"}
             assert np.isfinite(event["value"])
+
+    def test_each_phase_wall_printed_on_one_line(self, run_dir):
+        """Each phase's wall time, the sum of its span durations, is on
+        exactly one line of the dashboard."""
+        text = render_text(load_report(run_dir))
+        for name in ("train", "ptq", "qaft", "eval"):
+            seconds = sum(e["dur_s"] for e in read_events(run_dir)
+                          if e["type"] == "span" and e["kind"] == "phase"
+                          and e["name"] == name)
+            lines = [line for line in text.splitlines()
+                     if line.split()[:1] == [name]]
+            assert len(lines) == 1, lines
+            assert f" {seconds:.2f}s  (n=" in lines[0]
+            assert "kernel coverage" in lines[0]
 
     def test_dashboard_shows_lml_and_one_phase_clock(self, run_dir):
         text = render_text(load_report(run_dir))

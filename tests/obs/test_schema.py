@@ -65,6 +65,25 @@ class TestEventValidation:
         assert any("number" in p for p in validate_events([bad]))
 
 
+class TestEventLogParser:
+    def test_reader_warnings_are_problems(self, tmp_path):
+        """The validator parses with the report's tolerant reader, so
+        each of its warnings is a problem naming the line."""
+        log = tmp_path / EVENTS_FILENAME
+        log.write_text('{"type": "meta", "schema": 1}\n'
+                       '[1, 2]\n'
+                       '{"type": "meta", "sch')
+        problems = validate_events_file(log)
+        assert len(problems) == 2, problems
+        assert "line 2 is not an object" in problems[0]
+        assert "torn tail at line 3" in problems[1]
+
+    def test_empty_log_is_a_problem(self, tmp_path):
+        (tmp_path / EVENTS_FILENAME).touch()
+        [problem] = validate_events_file(tmp_path)
+        assert "event log is empty" in problem
+
+
 class TestTracedRunValidates:
     def test_real_event_log_is_schema_clean(self, traced_run):
         run_dir, _ = traced_run

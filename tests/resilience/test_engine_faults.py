@@ -130,6 +130,26 @@ class TestWorkerFaultRecovery:
         assert "pool.degraded" in counters
 
 
+class TestFaultsReported:
+    def test_report_names_the_retry(self, engine_setup, fault_env,
+                                    tmp_path):
+        """A traced ``workers=2`` search that retried one trial says so in
+        its ``repro report`` pool section."""
+        from repro.obs.report import load_report, render_text
+        from repro.obs.trace import RunTracer, read_events
+        config, dataset, _, _ = engine_setup
+        fault_env("error@1")
+        with RunTracer(tmp_path / "run") as tracer:
+            BOMPNAS(config, dataset).run(
+                final_training=False, workers=2, tracer=tracer,
+                retry_policy=fast_policy(), reporter=QUIET)
+        retries = [e for e in read_events(tmp_path / "run")
+                   if e.get("name") == "pool.retries"]
+        assert len(retries) == 1
+        text = render_text(load_report(tmp_path / "run"))
+        assert "  faults: retries 1" in text.splitlines()
+
+
 class TestPoolStartFailureSurfaced:
     def test_reason_reported_and_counted(self, engine_setup, monkeypatch):
         """The serial fallback is loud: warning + obs counter with cause."""

@@ -16,6 +16,7 @@ import pytest
 
 from repro.env import EnvVarError
 from repro.experiments import ExperimentContext
+from repro.nas import get_scale
 from repro.parallel import RetryPolicy, TrialEngine
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -62,6 +63,24 @@ class TestProfile:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("repro: BOMP_PROFILE='banana'")
+
+
+class TestScale:
+    def test_cli_prints_one_line(self, tmp_path):
+        proc = run_cli(["search", "--no-final-training", "--quiet"],
+                       tmp_path, BOMP_SCALE="banana")
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert lines == ["repro: BOMP_SCALE='banana': expected one of "
+                         "medium, paper, smoke, unit"], proc.stderr
+
+    def test_only_the_environment_value_is_an_env_error(self, monkeypatch):
+        monkeypatch.setenv("BOMP_SCALE", "banana")
+        with pytest.raises(EnvVarError, match="BOMP_SCALE='banana'"):
+            get_scale()
+        with pytest.raises(ValueError) as info:
+            get_scale("banana")      # an argument, not the variable
+        assert not isinstance(info.value, EnvVarError)
 
 
 class TestRetryVariablesRemoved:
