@@ -30,7 +30,10 @@
 #      the daemon's events.jsonl validated and rendered by `repro report`)
 #   4. `repro infer --parity` on a freshly built bench artifact: every
 #      teacher-forced segment of the arena executor within its LSB
-#      budget of the fake-quant reference, through the CLI
+#      budget of the fake-quant reference, through the CLI; then again at
+#      batch size 7, so the 64 images run as nine batches of 7 and a
+#      one-image tail (the executor's bound calls at n=7 and n=1) and
+#      parity runs on 7 images
 #   5. the examples at BOMP_SCALE=unit with a fresh experiment cache, so
 #      a change to the search classes or the public API cannot break them
 #      unnoticed; ptq_vs_qaft is left out: it takes ~50 s and runs only
@@ -82,6 +85,7 @@ python -c "import sys; from pathlib import Path; \
 from repro.serve.bench import make_bench_artifact; \
 make_bench_artifact(Path(sys.argv[1]))" "$TMP_RUN/bench.bomp"
 python -m repro infer "$TMP_RUN/bench.bomp" --parity --limit 64
+python -m repro infer "$TMP_RUN/bench.bomp" --parity --batch-size 7 --limit 64
 
 for example in quickstart custom_search compare_baselines deploy_and_infer \
         cifar10_figure2 serve_client; do

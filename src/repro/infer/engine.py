@@ -24,6 +24,16 @@ one ``ho*wo*cout`` row per image, a block of whole images at a time:
 the bias add, a multiply, an add and a shift by operands folded and
 tiled along that row when the stage is built
 (:class:`~repro.infer.requant.RequantPlan`), then the clamp.
+
+Every operand of every one of those numpy calls is fixed once the batch
+size is, so the first batch of each size ``n`` binds them: the input
+quantization, each conv block's im2col copy, contraction and epilogue,
+each depthwise stage's padding, tap einsum and strided copy, the GAP
+and the classifier become one list of prebound calls per stage, and
+every batch of that size runs those lists in order, with no per-call
+view building, record lookup or dispatch by stage kind.  A contraction
+is bound to a helper that looks ``np.einsum`` up when it runs, so a
+guard that replaces ``np.einsum`` after binding still sees it.
 Steady-state batches perform no ndarray allocations.  The parity harness
 verifies this same path through :meth:`ArenaExecutor.step`.
 
@@ -45,7 +55,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -57,7 +68,7 @@ from .compile import Grid, Stage
 from .kernels import (conv2d_int, dense_int, depthwise_conv2d_int,
                       global_avg_pool_int)
 from .plan import ArenaPlan, plan_arena
-from .requant import requantize, requantize_epilogue
+from .requant import Call, epilogue_calls, requantize
 
 #: int32 elements in one workspace block (512 KiB); bounds a block of
 #: whole images: a conv's im2col rows, and every stage's epilogue rows
@@ -72,6 +83,32 @@ def input_codes(grid: Grid, x: np.ndarray) -> np.ndarray:
     q = np.clip(np.round(x / grid.scale + grid.zero_point),
                 0, grid.n_levels)
     return q.astype(np.int32)
+
+
+def _contract(subscripts: str, lhs: np.ndarray, rhs: np.ndarray,
+              out: np.ndarray) -> None:
+    """``np.einsum(subscripts, lhs, rhs, out=out)``, with ``np.einsum``
+    looked up when the call runs, not when it is bound: the
+    no-float-on-the-hot-path guard replaces ``np.einsum`` on the module,
+    and a call bound to the function itself would bypass it."""
+    np.einsum(subscripts, lhs, rhs, out=out)
+
+
+class _Bound(NamedTuple):
+    """One batch size's execution: its arena views and prebound calls.
+
+    ``views`` maps each value to its view, the classifier's float64
+    dequantized output (cast into the caller's float32 logits at the
+    boundary) included; ``calls[i]`` is stage ``i``'s list of numpy
+    calls, every operand a view of the executor's buffers; ``quantize``
+    finishes the input quantization after the divide that reads the
+    caller's images into ``scratch``.
+    """
+
+    views: Dict[int, np.ndarray]
+    scratch: np.ndarray
+    quantize: List[Call]
+    calls: List[List[Call]]
 
 
 class ArenaExecutor:
@@ -91,9 +128,11 @@ class ArenaExecutor:
       :data:`BLOCK_ELEMS` elements, or one image), reused by every stage;
     - ``fin`` / ``fout`` — float scratch for the two boundary steps.
 
-    Short final batches execute on prefix views of the same buffers.
-    Every batch rewrites those buffers, so an executor belongs to one
-    thread.
+    The first batch of each size ``n`` binds every numpy call of every
+    stage to views of those buffers (:class:`_Bound`); that batch and
+    every later one of the same size run the bound calls in order.
+    Short final batches bind prefix views of the same buffers.  Every
+    batch rewrites those buffers, so an executor belongs to one thread.
     """
 
     def __init__(self, program: "Program", batch_size: int) -> None:
@@ -115,9 +154,9 @@ class ArenaExecutor:
 
         self._records = [self._make_record(i, stage)
                          for i, stage in enumerate(program.stages)]
+        self._kernels = ["infer." + stage.kind for stage in self.stages]
         self._allocate_buffers()
-        self._views: Dict[int, Dict[int, np.ndarray]] = {}
-        self._tap_views: Dict[Tuple[int, int], Tuple] = {}
+        self._bound: Dict[int, _Bound] = {}
         recorder = get_recorder()
         if recorder.enabled:
             recorder.gauge("infer.arena_bytes", self.alloc_bytes)
@@ -197,29 +236,194 @@ class ArenaExecutor:
         self.fin = self._new(B * in_elems, np.float32)
         self.fout = self._new(self._fout_elems, np.float64)
 
-    def _views_for(self, n: int) -> Dict[int, np.ndarray]:
-        if n > self.batch:
-            raise ValueError(f"batch {n} exceeds planned capacity "
-                             f"{self.batch}")
-        views = self._views.get(n)
-        if views is None:
-            B = self.batch
-            views = {
-                slot.value:
-                    self.acts[slot.offset * B:
-                              slot.offset * B + n * slot.elems]
-                    .reshape((n,) + slot.shape)
-                for slot in self.plan.slots.values()}
-            self._views[n] = views
-        return views
+    # -- binding --------------------------------------------------------------
+    def _bound_for(self, n: int) -> _Bound:
+        bound = self._bound.get(n)
+        if bound is None:
+            if n > self.batch:
+                raise ValueError(f"batch {n} exceeds planned capacity "
+                                 f"{self.batch}")
+            bound = self._bound[n] = self._bind(n)
+        return bound
+
+    def _bind(self, n: int) -> _Bound:
+        """Every call of a batch of ``n`` images, bound to its operands
+        (outputs positional where numpy allows it, as in
+        :func:`~repro.infer.requant.requantize_calls`)."""
+        B = self.batch
+        views = {
+            slot.value:
+                self.acts[slot.offset * B:slot.offset * B + n * slot.elems]
+                .reshape((n,) + slot.shape)
+            for slot in self.plan.slots.values()}
+        classes = self.stages[-1].out_shape[0]
+        views[len(self.stages) - 1] = self.fout[:n * classes].reshape(
+            n, classes)
+        grid = self.input_grid
+        codes = views[-1]
+        scratch = self.fin[:codes.size].reshape(codes.shape)
+        quantize = [
+            partial(np.add, scratch, grid.zero_point, scratch),
+            partial(np.rint, scratch, scratch),
+            # np.clip's Python wrapper costs more than these two passes
+            partial(np.maximum, scratch, 0, out=scratch),
+            partial(np.minimum, scratch, grid.n_levels, out=scratch),
+            partial(np.copyto, codes, scratch, "unsafe")]
+        calls = [getattr(self, "_bind_" + rec["stage"].kind)(rec, views, n)
+                 for rec in self._records]
+        return _Bound(views, scratch, quantize, calls)
+
+    def _bind_conv(self, rec: Dict, views: Dict[int, np.ndarray],
+                   n: int) -> List[Call]:
+        """im2col gather, contraction and epilogue per block of images."""
+        stage = rec["stage"]
+        x = views[rec["in_value"]]
+        out = views[rec["out_value"]]
+        cin, cout = stage.in_shape[2], rec["cout"]
+        rpi, ckk = rec["rows_per_image"], rec["ckk"]
+        kernel, stride = rec["kernel"], rec["stride"]
+        out2 = out.reshape(n * rpi, cout)
+        calls: List[Call] = []
+        for i0 in range(0, n, rec["block_imgs"]):
+            i1 = min(n, i0 + rec["block_imgs"])
+            rows = (i1 - i0) * rpi
+            if kernel == 1 and stride == 1:
+                lhs = x.reshape(n * rpi, cin)[i0 * rpi:i0 * rpi + rows]
+            else:
+                if kernel == 1:
+                    src = x[i0:i1, ::stride, ::stride, :]
+                else:
+                    src = sliding_window_view(
+                        self._padded(rec, x[i0:i1], calls),
+                        (kernel, kernel), axis=(1, 2))[:, ::stride,
+                                                       ::stride]
+                block = self.col[:rows * ckk].reshape(src.shape)
+                calls.append(partial(np.copyto, block, src))
+                lhs = block.reshape(rows, ckk)
+            calls.append(partial(_contract, stage.contraction, lhs,
+                                 stage.w2d, out2[i0 * rpi:i0 * rpi + rows]))
+            calls += self._epilogue(rec, views, out, i0, i1)
+        return calls
+
+    def _bind_dw(self, rec: Dict, views: Dict[int, np.ndarray],
+                 n: int) -> List[Call]:
+        """Padding, one tap einsum, the strided copy and the epilogue.
+
+        The einsum reads the C-contiguous (padded) input ``src`` as
+        ``(n, hp, wp*c)`` rows: element ``[i, j, b, h, x]`` of ``rows``
+        is row ``h*s + i`` of image ``b`` from column ``j*c + x``, so for
+        each tap one output row's ``span*c`` columns (first window to
+        last) are contiguous, and the einsum with ``Stage.taps`` sums all
+        ``k*k`` taps in one pass.  At stride 1 it writes the output slot
+        directly; at stride s it fills the full span into ``acc32``, and
+        every s-th column is copied out.
+        """
+        stage = rec["stage"]
+        out = views[rec["out_value"]]
+        kernel, stride = rec["kernel"], rec["stride"]
+        ho, wo, c = stage.out_shape
+        calls: List[Call] = []
+        src = self._padded(rec, views[rec["in_value"]], calls)
+        width = stage.taps.shape[2]                # span * c
+        item = src.itemsize
+        row = src.shape[2] * c * item
+        rows = as_strided(src, (kernel, kernel, n, ho, width),
+                          (row, c * item, src.strides[0], stride * row,
+                           item), writeable=False)
+        if stride == 1:
+            calls.append(partial(_contract, "ijnhx,ijx->nhx", rows,
+                                 stage.taps, out.reshape(n, ho, wo * c)))
+        else:
+            acc = self.acc32[:n * ho * width].reshape(n, ho, width)
+            calls += [partial(_contract, "ijnhx,ijx->nhx", rows,
+                              stage.taps, acc),
+                      partial(np.copyto, out,
+                              acc.reshape(n, ho, -1, c)[:, :, ::stride])]
+        for i0 in range(0, n, rec["block_imgs"]):
+            calls += self._epilogue(rec, views, out, i0,
+                                    min(n, i0 + rec["block_imgs"]))
+        return calls
+
+    def _padded(self, rec: Dict, x: np.ndarray,
+                calls: List[Call]) -> np.ndarray:
+        """The block ``x`` padded with the input zero point in the shared
+        pad workspace (raw-code padding == shifted zeros); appends the
+        two calls that write it."""
+        if not rec["needs_pad"]:
+            return x
+        stage = rec["stage"]
+        h, w, cin = stage.in_shape
+        ph, pw = rec["padded_hw"]
+        ni = x.shape[0]
+        block = self.pad[:ni * ph * pw * cin].reshape(ni, ph, pw, cin)
+        (h0, _), (w0, _) = rec["pad_h"], rec["pad_w"]
+        calls += [partial(block.fill, stage.in_zp),
+                  partial(np.copyto, block[:, h0:h0 + h, w0:w0 + w, :], x)]
+        return block
+
+    def _epilogue(self, rec: Dict, views: Dict[int, np.ndarray],
+                  out: np.ndarray, i0: int, i1: int) -> List[Call]:
+        """Bias, requantize, residual, zero point and clamp, in place.
+
+        Bound on images ``[i0, i1)`` of the stage's int32 accumulators
+        ``out``, read as one ``ho*wo*cout`` row per image — the length
+        the stage's operands are tiled to — and writing the output codes
+        over them, bit-identical to the reference's chain.
+        """
+        stage = rec["stage"]
+        acc = out.reshape(out.shape[0], -1)[i0:i1]
+        work = self.work[:acc.size].reshape(acc.shape)
+        residual = None
+        if stage.residual_from is not None:
+            saved = views[stage.residual_from - 1]
+            residual = (saved.reshape(saved.shape[0], -1)[i0:i1],
+                        stage.res_rq,
+                        self.work_res[:acc.size].reshape(acc.shape))
+        return [partial(np.add, acc, stage.bias_fused, acc),
+                *epilogue_calls(acc, stage.rq, stage.clamp_lo,
+                                stage.clamp_hi, work, residual)]
+
+    def _bind_gap(self, rec: Dict, views: Dict[int, np.ndarray],
+                  n: int) -> List[Call]:
+        """Rounded integer mean over each image's pixels, then the clamp."""
+        stage = rec["stage"]
+        x = views[rec["in_value"]]
+        out = views[rec["out_value"]]
+        count = x.shape[1] * x.shape[2]
+        work = self.work[:out.size].reshape(out.shape)
+        return [partial(np.add.reduce, x, (1, 2), np.int64, work),
+                partial(np.add, work, count // 2, work),
+                partial(np.floor_divide, work, count, work),
+                partial(np.maximum, work, stage.clamp_lo, out=work),
+                partial(np.minimum, work, stage.clamp_hi, out=out)]
+
+    def _bind_dense(self, rec: Dict, views: Dict[int, np.ndarray],
+                    n: int) -> List[Call]:
+        """The classifier's contraction, bias and float64 dequantization."""
+        stage = rec["stage"]
+        logits = views[rec["out_value"]]
+        acc = self.acc32[:logits.size].reshape(logits.shape)
+        return [partial(_contract, stage.contraction,
+                        views[rec["in_value"]], stage.w2d, acc),
+                partial(np.add, acc, stage.bias_fused, acc),
+                partial(np.multiply, acc, stage.out_scale, logits),
+                partial(np.add, logits, stage.out_bias, logits)]
 
     # -- execution ------------------------------------------------------------
     def run_batch_into(self, x: np.ndarray, logits: np.ndarray) -> None:
         """Execute one batch of float images into a float32 logits view."""
-        n = int(x.shape[0])
-        views = self._views_for(n)
-        self._quantize_input(x, views[-1])
-        self._run_stages(views, n, 0, len(self._records), logits)
+        bound = self._bound_for(int(x.shape[0]))
+        with prof.kernel("infer.quantize_input"):
+            if x.dtype != np.float32:
+                # off the planned path: reproduce the reference dtype exactly
+                np.copyto(bound.views[-1], input_codes(self.input_grid, x))
+            else:
+                np.divide(x, self.input_grid.scale, out=bound.scratch)
+                for call in bound.quantize:
+                    call()
+        self._execute(bound, 0, len(self.stages))
+        np.copyto(logits, bound.views[len(self.stages) - 1],
+                  casting="same_kind")
 
     def step(self, codes: np.ndarray, start: int, stop: int,
              saved: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -228,210 +432,38 @@ class ArenaExecutor:
         ``saved`` maps residual-source stage indices to their input
         codes.  Only sources below ``start`` are seeded: a later one is
         the segment's own output, and its slot may share arena space
-        with tensors the segment reads first.  Returns a copy of stage
-        ``stop - 1``'s output (float32 logits for the final Dense).
+        with tensors the segment reads first.  Runs the same bound calls
+        as :meth:`run_batch_into`.  Returns a copy of stage ``stop - 1``'s
+        output (float32 logits for the final Dense).
         """
-        n = int(codes.shape[0])
-        views = self._views_for(n)
+        bound = self._bound_for(int(codes.shape[0]))
+        views = bound.views
         for index in range(start, stop):
             source = self.stages[index].residual_from
             if source is not None and source < start:
                 np.copyto(views[source - 1], saved[source])
         np.copyto(views[start - 1], codes)
-        if stop < len(self._records):
-            self._run_stages(views, n, start, stop, None)
-            return views[stop - 1].copy()
-        logits = np.empty((n, self.stages[-1].out_shape[0]),
-                          dtype=np.float32)
-        self._run_stages(views, n, start, stop, logits)
-        return logits
+        self._execute(bound, start, stop)
+        return views[stop - 1].astype(
+            np.float32 if stop == len(self.stages) else np.int32)
 
-    def _run_stages(self, views: Dict[int, np.ndarray], n: int, start: int,
-                    stop: int, logits: Optional[np.ndarray]) -> None:
+    def _execute(self, bound: _Bound, start: int, stop: int) -> None:
+        """Run stages ``[start, stop)``'s bound calls, one span and one
+        kernel timer per stage."""
         recorder = get_recorder()
-        for rec in self._records[start:stop]:
-            stage = rec["stage"]
+        for index in range(start, stop):
+            kernel, calls = self._kernels[index], bound.calls[index]
             if recorder.enabled:
+                stage = self.stages[index]
                 with recorder.span(f"infer.{stage.name}", op=stage.kind,
-                                   out_shape=list(stage.out_shape)):
-                    self._exec(rec, views, n, logits)
+                                   out_shape=list(stage.out_shape)), \
+                        prof.kernel(kernel):
+                    for call in calls:
+                        call()
             else:
-                self._exec(rec, views, n, logits)
-
-    def _quantize_input(self, x: np.ndarray, codes: np.ndarray) -> None:
-        with prof.kernel("infer.quantize_input"):
-            grid = self.input_grid
-            if x.dtype != np.float32:
-                # off the planned path: reproduce the reference dtype exactly
-                np.copyto(codes, input_codes(grid, x))
-                return
-            scratch = self.fin[:x.size].reshape(x.shape)
-            np.divide(x, grid.scale, out=scratch)
-            np.add(scratch, grid.zero_point, out=scratch)
-            np.round(scratch, out=scratch)
-            # np.clip's Python wrapper costs more than these two passes
-            np.maximum(scratch, 0, out=scratch)
-            np.minimum(scratch, grid.n_levels, out=scratch)
-            np.copyto(codes, scratch, casting="unsafe")
-
-    def _exec(self, rec: Dict, views: Dict[int, np.ndarray], n: int,
-              logits: Optional[np.ndarray]) -> None:
-        kind = rec["stage"].kind
-        with prof.kernel("infer." + kind):
-            if kind == "dense":
-                self._exec_dense(rec, views, n, logits)
-            else:
-                getattr(self, "_exec_" + kind)(rec, views, n)
-
-    def _epilogue(self, rec: Dict, views: Dict[int, np.ndarray],
-                  out_rows: np.ndarray, i0: int, i1: int) -> None:
-        """Bias, requantize, residual, zero point and clamp, in place.
-
-        Runs on images ``[i0, i1)`` of ``out_rows``, the stage's int32
-        accumulators read as one ``ho*wo*cout`` row per image — the
-        length the stage's operands are tiled to — and writes the output
-        codes over them, bit-identical to the reference's chain.
-        """
-        stage = rec["stage"]
-        acc = out_rows[i0:i1]
-        acc += stage.bias_fused
-        work = self.work[:acc.size].reshape(acc.shape)
-        residual = None
-        if stage.residual_from is not None:
-            saved = views[stage.residual_from - 1]
-            residual = (saved.reshape(saved.shape[0], -1)[i0:i1],
-                        stage.res_rq,
-                        self.work_res[:acc.size].reshape(acc.shape))
-        requantize_epilogue(acc, stage.rq, stage.clamp_lo, stage.clamp_hi,
-                            work, residual)
-
-    def _exec_conv(self, rec: Dict, views: Dict[int, np.ndarray],
-                   n: int) -> None:
-        stage = rec["stage"]
-        x = views[rec["in_value"]]
-        out = views[rec["out_value"]]
-        h, w, cin = stage.in_shape
-        rpi, ckk, cout = rec["rows_per_image"], rec["ckk"], rec["cout"]
-        kernel, stride = rec["kernel"], rec["stride"]
-        out2 = out.reshape(n * rpi, cout)
-        out_rows = out.reshape(n, rpi * cout)
-        flat_in = (x.reshape(n * h * w, cin)
-                   if kernel == 1 and stride == 1 else None)
-        for i0 in range(0, n, rec["block_imgs"]):
-            i1 = min(n, i0 + rec["block_imgs"])
-            ni = i1 - i0
-            rows = ni * rpi
-            r0 = i0 * rpi
-            acc = out2[r0:r0 + rows]
-            if flat_in is not None:
-                lhs = flat_in[r0:r0 + rows]
-            elif kernel == 1:
-                block = self.col[:rows * ckk].reshape(
-                    ni, *stage.out_shape[:2], cin)
-                np.copyto(block, x[i0:i1, ::stride, ::stride, :])
-                lhs = block.reshape(rows, ckk)
-            else:
-                src = self._padded_block(rec, x, i0, i1)
-                windows = sliding_window_view(
-                    src, (kernel, kernel), axis=(1, 2))[:, ::stride,
-                                                        ::stride]
-                block = self.col[:rows * ckk].reshape(
-                    ni, *stage.out_shape[:2], cin, kernel, kernel)
-                np.copyto(block, windows)
-                lhs = block.reshape(rows, ckk)
-            np.einsum(stage.contraction, lhs, stage.w2d, out=acc)
-            self._epilogue(rec, views, out_rows, i0, i1)
-
-    def _padded_block(self, rec: Dict, x: np.ndarray, i0: int,
-                      i1: int) -> np.ndarray:
-        """Zero-point-padded input block in the shared pad workspace."""
-        if not rec["needs_pad"]:
-            return x[i0:i1]
-        stage = rec["stage"]
-        h, w, cin = stage.in_shape
-        ph, pw = rec["padded_hw"]
-        ni = i1 - i0
-        block = self.pad[:ni * ph * pw * cin].reshape(ni, ph, pw, cin)
-        block[...] = stage.in_zp      # raw-code padding == shifted zeros
-        (h0, _), (w0, _) = rec["pad_h"], rec["pad_w"]
-        block[:, h0:h0 + h, w0:w0 + w, :] = x[i0:i1]
-        return block
-
-    def _tap_operands(self, rec: Dict, src: np.ndarray, out: np.ndarray,
-                      n: int) -> Tuple:
-        """``(rows, acc, strided)``: a depthwise stage's einsum operands.
-
-        ``rows`` reads the C-contiguous (padded) input ``src`` as
-        ``(n, hp, wp*c)`` rows: element ``[i, j, b, h, x]`` is row
-        ``h*s + i`` of image ``b`` from column ``j*c + x``, so for each tap
-        one output row's ``span*c`` columns (first window to last) are
-        contiguous, and the einsum with ``Stage.taps`` sums all ``k*k``
-        taps in one pass.  At stride 1 it writes ``out`` directly; at
-        stride s it fills the full span into ``acc32`` and ``strided``
-        keeps every s-th column.  Cached per batch size: the views
-        depend only on buffers the executor owns.
-        """
-        key = (rec["out_value"], n)
-        operands = self._tap_views.get(key)
-        if operands is None:
-            stage = rec["stage"]
-            kernel, stride = rec["kernel"], rec["stride"]
-            ho, wo, c = stage.out_shape
-            width = stage.taps.shape[2]            # span * c
-            item = src.itemsize
-            row = src.shape[2] * c * item
-            rows = as_strided(src, (kernel, kernel, n, ho, width),
-                              (row, c * item, src.strides[0],
-                               stride * row, item), writeable=False)
-            if stride == 1:
-                operands = (rows, out.reshape(n, ho, wo * c), None)
-            else:
-                acc = self.acc32[:n * ho * width].reshape(n, ho, width)
-                operands = (rows, acc, acc.reshape(n, ho, -1, c)[
-                    :, :, ::stride])
-            self._tap_views[key] = operands
-        return operands
-
-    def _exec_dw(self, rec: Dict, views: Dict[int, np.ndarray],
-                 n: int) -> None:
-        stage = rec["stage"]
-        out = views[rec["out_value"]]
-        rpi, cout = rec["rows_per_image"], rec["cout"]
-        src = self._padded_block(rec, views[rec["in_value"]], 0, n)
-        rows, acc, strided = self._tap_operands(rec, src, out, n)
-        np.einsum("ijnhx,ijx->nhx", rows, stage.taps, out=acc)
-        if strided is not None:
-            np.copyto(out, strided)
-        out_rows = out.reshape(n, rpi * cout)
-        for i0 in range(0, n, rec["block_imgs"]):
-            self._epilogue(rec, views, out_rows, i0,
-                           min(n, i0 + rec["block_imgs"]))
-
-    def _exec_dense(self, rec: Dict, views: Dict[int, np.ndarray],
-                    n: int, logits: np.ndarray) -> None:
-        stage = rec["stage"]
-        x = views[rec["in_value"]]
-        classes = stage.out_shape[0]
-        acc = self.acc32[:n * classes].reshape(n, classes)
-        np.einsum(stage.contraction, x, stage.w2d, out=acc)
-        acc += stage.bias_fused
-        scratch = self.fout[:n * classes].reshape(n, classes)
-        np.multiply(acc, stage.out_scale, out=scratch)
-        np.add(scratch, stage.out_bias, out=scratch)
-        np.copyto(logits, scratch, casting="same_kind")
-
-    def _exec_gap(self, rec: Dict, views: Dict[int, np.ndarray],
-                  n: int) -> None:
-        stage = rec["stage"]
-        x = views[rec["in_value"]]
-        out = views[rec["out_value"]]
-        count = x.shape[1] * x.shape[2]
-        work = self.work[:out.size].reshape(out.shape)
-        np.sum(x, axis=(1, 2), dtype=np.int64, out=work)
-        work += count // 2
-        np.floor_divide(work, count, out=work)
-        np.maximum(work, stage.clamp_lo, out=work)
-        np.minimum(work, stage.clamp_hi, out=out)
+                with prof.kernel(kernel):
+                    for call in calls:
+                        call()
 
 
 @dataclass(frozen=True, eq=False)

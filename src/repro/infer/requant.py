@@ -33,20 +33,26 @@ must saturate the clamp, as the fake-quant reference does, not wrap.
 :func:`requantize` is the reference form, two rounding steps.  The
 engine runs the same arithmetic folded: a :class:`RequantPlan` turns the
 high-mul's rounding, the post-shift's rounding and the zero points into
-one constant, so a stage's epilogue (:func:`requantize_epilogue`) is a
-multiply, an add and a shift, then the clamp — bit-identical, because
-nested floor divisions by powers of two are one floor division.
+one constant, so a stage's epilogue is a multiply, an add and a shift,
+then the clamp — bit-identical, because nested floor divisions by
+powers of two are one floor division.  :func:`epilogue_calls` defines
+that epilogue once, as the numpy calls the integer engine binds to a
+stage's buffers; :func:`requantize_epilogue` runs the same calls once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from functools import partial
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
 IntArray = np.ndarray
+
+#: one numpy call bound to its operands, run each batch
+Call = Callable[[], object]
 
 #: the largest pre-shift applied exactly.  From ``M >= 2**29`` any nonzero
 #: accumulator lands at least ``2**29`` codes off zero, beyond every clamp
@@ -234,34 +240,58 @@ def tiled(values: np.ndarray, reps: int):
     return rows
 
 
+def requantize_calls(x: IntArray, plan: RequantPlan,
+                     work: IntArray) -> List[Call]:
+    """``requantize(x - in_zp, q, shift) + out_zp`` into an int64 ``work``,
+    as the in-place numpy calls that compute it, bound to their operands.
+
+    Three passes (four where the zero point did not fold), bit-identical
+    to the reference.  ``work`` must have ``x``'s (broadcast) shape;
+    ``x`` may be ``work`` itself.
+    """
+    # the output is the third positional operand: a partial with
+    # keywords copies them on every call
+    calls = [partial(np.multiply, x, plan.q, work),
+             partial(np.add, work, plan.k, work),
+             partial(np.right_shift, work, plan.s, work)]
+    if plan.zp:
+        calls.append(partial(np.add, work, plan.zp, work))
+    return calls
+
+
 def requantize_into(x: IntArray, plan: RequantPlan,
                     work: IntArray) -> IntArray:
-    """``requantize(x - in_zp, q, shift) + out_zp`` into an int64 ``work``.
-
-    Three in-place passes (four where the zero point did not fold),
-    bit-identical to the reference.  ``work`` must have ``x``'s
-    (broadcast) shape; ``x`` may be ``work`` itself.
-    """
-    np.multiply(x, plan.q, out=work)
-    np.add(work, plan.k, out=work)
-    np.right_shift(work, plan.s, out=work)
-    if plan.zp:
-        np.add(work, plan.zp, out=work)
+    """Run :func:`requantize_calls` once; returns ``work``."""
+    for call in requantize_calls(x, plan, work):
+        call()
     return work
+
+
+def epilogue_calls(acc: IntArray, plan: RequantPlan, lo: int, hi: int,
+                   work: IntArray,
+                   residual=None) -> List[Call]:
+    """A stage's epilogue, as the bound numpy calls that run it.
+
+    Each batch, the calls overwrite the int32 accumulators ``acc`` with
+    ``clip(requantize(acc) [+ requantize(saved - res_zp)] + out_zp, lo,
+    hi)``, the reference's chain, through the int64 workspace ``work``
+    (``acc``'s shape).  ``residual`` is ``(saved, res_plan, res_work)``
+    for a stage that adds a saved input.  The integer engine binds these
+    once per batch size; the operands are only read when a call runs.
+    """
+    calls = requantize_calls(acc, plan, work)
+    if residual is not None:
+        saved, res_plan, res_work = residual
+        calls += requantize_calls(saved, res_plan, res_work)
+        calls.append(partial(np.add, work, res_work, work))
+    # numpy deprecates a positional output for these two alone
+    calls += [partial(np.maximum, work, lo, out=work),
+              partial(np.minimum, work, hi, out=acc)]
+    return calls
 
 
 def requantize_epilogue(acc: IntArray, plan: RequantPlan, lo: int, hi: int,
                         work: IntArray, residual=None) -> None:
-    """A stage's output codes, written over its int32 accumulators.
-
-    ``acc`` becomes ``clip(requantize(acc) [+ requantize(saved -
-    res_zp)] + out_zp, lo, hi)``, the reference's chain, through the
-    int64 workspace ``work`` (``acc``'s shape).  ``residual`` is
-    ``(saved, res_plan, res_work)`` for a stage that adds a saved input.
-    """
-    requantize_into(acc, plan, work)
-    if residual is not None:
-        saved, res_plan, res_work = residual
-        np.add(work, requantize_into(saved, res_plan, res_work), out=work)
-    np.maximum(work, lo, out=work)
-    np.minimum(work, hi, out=acc)
+    """Run :func:`epilogue_calls` once, as the engine does each batch."""
+    for call in epilogue_calls(acc, plan, lo, hi, work, residual):
+        call()

@@ -389,7 +389,8 @@ def _qaft_lines(report: RunReport) -> List[str]:
 
 def _pool_lines(report: RunReport) -> List[str]:
     """Batches, utilisation, skew and task times from the ``pool.batch``
-    spans and their trial spans, then the non-zero fault counts."""
+    spans and their trial spans, then the non-zero fault counts.  Skew
+    counts only batches of two or more trials."""
     lines = []
     if not report.batch_spans:
         lines.append("  (no pool batches recorded)")
@@ -412,7 +413,8 @@ def _pool_lines(report: RunReport) -> List[str]:
             if wall > 0:
                 util.append(min(1.0, busy / (workers * wall)))
             mean_task = busy / len(durations)
-            if mean_task > 0:
+            # a lone task's max/mean is 1 by construction
+            if len(durations) > 1 and mean_task > 0:
                 skew.append(max(durations) / mean_task)
         if util:
             lines.append(f"  worker utilisation mean={np.mean(util):.1%} "

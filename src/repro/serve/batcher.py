@@ -19,8 +19,9 @@ belongs to one thread.  ``workers_per_model > 1`` therefore scales
 concurrency by adding arenas, never by sharing one.
 
 Each outcome is recorded once, by the object that sees it, as one raw
-event: a ``serve.batch`` span per batch, a ``serve.<model>.latency_s``
-histogram observation per answered request, and a
+event, before the request is answered: a ``serve.batch`` span per
+batch, a ``serve.<model>.latency_s`` histogram observation per answered
+request (tagged with its ``request`` id), and a
 ``serve.<model>.timeouts`` / ``serve.<model>.errors`` counter per
 queue-expired or failed request (the worker), or ``serve.<model>.shed``
 per shed request (the runtime).  ``repro report`` computes the SLO table
@@ -31,6 +32,7 @@ owned by the same objects (:meth:`ModelRuntime.describe`).
 from __future__ import annotations
 
 import threading
+import time
 from typing import List, Optional
 
 import numpy as np
@@ -101,15 +103,20 @@ class BatchWorker(threading.Thread):
         except BaseException as exc:  # answer everyone, keep the worker up
             self.errors += n
             for request in live:
-                request.set_error(exc)
                 recorder.counter(self._error)
+                request.set_error(exc)
             return
         self.batches_run += 1
         self.images_run += n
         for i, request in enumerate(live):
+            # each outcome is logged before its waiter wakes, so a client
+            # holding its answer finds the event in the log even if the
+            # daemon is killed at once
+            done_at = time.monotonic()
+            recorder.observe(self._latency, done_at - request.enqueued_at,
+                             request=request.id)
             # copy out: the logits scratch is reused for the next batch
-            request.set_result(logits[i].copy())
-            recorder.observe(self._latency, request.latency_s)
+            request.set_result(logits[i].copy(), done_at)
 
     def _drop_expired(self, batch: List[ServeRequest],
                       recorder: Recorder) -> List[ServeRequest]:

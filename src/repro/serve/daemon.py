@@ -19,6 +19,11 @@ Endpoints (all JSON)::
                                          "return_logits": false}
     GET    /v1/stats                    live per-model counts
 
+A predict answers ``{"model", "predictions", "batch", "request_ids"}``
+(plus ``"logits"`` when asked): ``request_ids[i]`` is the process-unique
+id of image ``i``'s request, the ``request`` tag of its
+``serve.<model>.latency_s`` event in the run's log.
+
 Admission failures map to HTTP status codes (429 shed, 503 draining,
 404 unknown model, 504 deadline exceeded, 400 malformed, 411 a body sent
 with a ``Transfer-Encoding`` instead of a ``Content-Length``, 413 body
@@ -472,6 +477,7 @@ def _make_handler(daemon: ServeDaemon):
                 "model": name,
                 "predictions": np.argmax(logits, axis=1).tolist(),
                 "batch": int(logits.shape[0]),
+                "request_ids": [request.id for request in requests],
             }
             if payload.get("return_logits"):
                 response["logits"] = logits.tolist()

@@ -25,6 +25,7 @@ batch to fill); the loop that calls it lives in
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
@@ -63,21 +64,29 @@ class RequestTimeout(RuntimeError):
     status = 504
 
 
+#: request ids: ``next`` on an ``itertools.count`` is one C call, atomic
+#: under the GIL, so ids are unique across the handler threads
+_request_ids = itertools.count(1)
+
+
 class ServeRequest:
     """One single-image inference request; a one-shot future.
 
     The submitting thread calls :meth:`wait`; a batch worker calls
-    :meth:`set_result` or :meth:`set_error` exactly once.  ``image`` is
-    the float32 HWC array; ``logits`` is filled with a private copy of
-    the worker's output row (the arena is reused for the next batch, so
-    the row must be copied out before the worker moves on).
+    :meth:`set_result` or :meth:`set_error` exactly once.  ``id`` is an
+    integer unique within the process, which the worker's latency event
+    carries as its ``request`` tag.  ``image`` is the float32 HWC array;
+    ``logits`` is filled with a private copy of the worker's output row
+    (the arena is reused for the next batch, so the row must be copied
+    out before the worker moves on).
     """
 
-    __slots__ = ("model", "image", "enqueued_at", "deadline", "logits",
-                 "error", "done_at", "_done")
+    __slots__ = ("id", "model", "image", "enqueued_at", "deadline",
+                 "logits", "error", "done_at", "_done")
 
     def __init__(self, model: str, image: np.ndarray,
                  timeout_s: Optional[float] = None) -> None:
+        self.id = next(_request_ids)
         self.model = model
         self.image = image
         self.enqueued_at = time.monotonic()
@@ -94,9 +103,12 @@ class ServeRequest:
         return (now if now is not None else time.monotonic()) \
             > self.deadline
 
-    def set_result(self, logits: np.ndarray) -> None:
+    def set_result(self, logits: np.ndarray,
+                   done_at: Optional[float] = None) -> None:
+        """Answer the waiter; its latency ends at ``done_at`` (default
+        now)."""
         self.logits = logits
-        self.done_at = time.monotonic()
+        self.done_at = time.monotonic() if done_at is None else done_at
         self._done.set()
 
     def set_error(self, error: BaseException) -> None:

@@ -1,7 +1,8 @@
 """Arena-executor tests: bit-identity against the fresh-allocation
 reference across policies, stage types and batch shapes (end to end and
-stage by stage), the allocation-free steady-state contract and the
-arena gauge, and one Program shared by many threads."""
+stage by stage), each batch size's calls bound once, the
+allocation-free steady-state contract and the arena gauge, and one
+Program shared by many threads."""
 
 import dataclasses
 import sys
@@ -18,6 +19,7 @@ from repro.nn.conv import Conv2D, DepthwiseConv2D
 from repro.nn.layers import BatchNorm2D, Dense, GlobalAvgPool2D, ReLU6
 from repro.nn.network import Sequential
 from repro.quant import QuantizationPolicy, apply_policy, calibrate
+from repro.serve import ServeConfig
 
 
 def _tagged(layer, slot):
@@ -130,6 +132,25 @@ class TestAllocationFree:
             program8.run(x, batch_size=32)
         assert profiler.alloc_count == 1
 
+    @pytest.mark.parametrize("n", range(1, ServeConfig().max_batch + 1))
+    def test_every_serve_size_after_its_first_batch(self, program8,
+                                                    infer_dataset, n):
+        """A serve worker's executor (capacity ``max_batch``) runs each
+        batch size it meets with no ndarray constructor once that size
+        has run once."""
+        from repro.obs.profile import KernelProfiler, use_profiler
+        capacity = ServeConfig().max_batch
+        executor = ArenaExecutor(program8, capacity)
+        x = infer_dataset.x_train[:capacity]
+        logits = np.empty((capacity, 10), dtype=np.float32)
+        executor.run_batch_into(x[:n], logits[:n])
+        profiler = KernelProfiler("alloc")
+        with use_profiler(profiler):
+            executor.run_batch_into(x[capacity - n:], logits[:n])
+        assert profiler.alloc_count == 0
+        np.testing.assert_array_equal(
+            logits[:n], program8.run_batch_reference(x[capacity - n:]))
+
     def test_executor_is_cached_and_buffers_fixed(self, program8,
                                                   infer_dataset):
         executor = program8.executor(24)
@@ -180,35 +201,65 @@ class TestBlocking:
         assert any(rec["block_imgs"] < 256 for rec in dws)   # real blocks
 
     def test_epilogue_runs_on_whole_image_rows(self, program8,
-                                               infer_dataset, monkeypatch):
-        """Every conv and dw epilogue call covers whole images, one
-        ``ho*wo*cout`` row each, in blocks of ``block_imgs``."""
-        from repro.infer import engine
-
-        calls = []
-        real = engine.requantize_epilogue
-
-        def spy(acc, plan, *args):
-            calls.append((id(plan), acc.shape))
-            return real(acc, plan, *args)
-
-        monkeypatch.setattr(engine, "requantize_epilogue", spy)
+                                               infer_dataset):
+        """Every conv and dw stage's bound epilogue covers whole images,
+        one ``ho*wo*cout`` row each, in blocks of ``block_imgs``."""
         executor = ArenaExecutor(program8, 256)
         logits = np.empty((256, 10), dtype=np.float32)
         executor.run_batch_into(infer_dataset.x_train, logits)
         np.testing.assert_array_equal(
             logits, program8.run_batch_reference(infer_dataset.x_train))
-        for rec in executor._records:
+        calls = executor._bound[256].calls
+        for index, rec in enumerate(executor._records):
             stage = rec["stage"]
             if stage.kind not in ("conv", "dw"):
                 continue
-            shapes = [shape for plan, shape in calls
-                      if plan == id(stage.rq)]
+            # each epilogue's first requantize pass multiplies its
+            # accumulator rows by the stage's own mantissas
+            shapes = [call.args[0].shape for call in calls[index]
+                      if call.func is np.multiply
+                      and call.args[1] is stage.rq.q]
             full, tail = divmod(256, rec["block_imgs"])
             expected = [rec["block_imgs"]] * full + ([tail] if tail else [])
             assert [images for images, _ in shapes] == expected, stage.name
             assert {width for _, width in shapes} == {
                 rec["rows_per_image"] * rec["cout"]}, stage.name
+
+
+class TestBinding:
+    """Each batch size's calls are bound on its first batch, then reused."""
+
+    def test_bound_once_per_batch_size(self, program8, infer_dataset):
+        executor = ArenaExecutor(program8, 8)
+        assert executor._bound == {}              # construction binds nothing
+        x = infer_dataset.x_train[:8]
+        logits = np.empty((8, 10), dtype=np.float32)
+        executor.run_batch_into(x, logits)
+        bound = executor._bound[8]
+        assert len(bound.calls) == len(program8.stages)
+        executor.run_batch_into(x, logits)
+        assert executor._bound == {8: bound}
+        executor.step(program8.quantize_input(x), 0, 1, {})
+        assert executor._bound == {8: bound}      # step runs the same calls
+        executor.run_batch_into(x[:3], logits[:3])
+        assert set(executor._bound) == {3, 8}
+        assert executor._bound[8] is bound
+        assert executor._bound[3].calls is not bound.calls
+
+    def test_every_short_batch_is_exact(self, program8, infer_dataset):
+        """One executor of capacity 17 at every batch size 1..17, each
+        size twice (bound, then reused), the largest first so shorter
+        batches run over stale rows: every logit byte-equal to the
+        reference."""
+        capacity = 17
+        x = infer_dataset.x_train[:capacity]
+        reference = program8.run_batch_reference(x)
+        executor = ArenaExecutor(program8, capacity)
+        sizes = list(range(capacity, 0, -1)) + list(range(1, capacity + 1))
+        for n in sizes:
+            logits = np.empty((n, 10), dtype=np.float32)
+            executor.run_batch_into(x[capacity - n:], logits)
+            assert logits.tobytes() == reference[capacity - n:].tobytes(), n
 
 
 class TestReferenceInterpreter:

@@ -73,6 +73,17 @@ def _guard_contractions(monkeypatch):
     return calls
 
 
+def _assert_every_weight_guarded(program, calls, batches):
+    """Every conv, depthwise and dense weight passed the guard in each
+    batch."""
+    for stage in program.stages:
+        if stage.kind not in ("conv", "dw", "dense"):
+            continue
+        weight = stage.taps if stage.kind == "dw" else stage.w2d
+        seen = sum(id(weight) in operands for operands in calls)
+        assert seen >= batches, (stage.name, seen)
+
+
 class TestNoFloatHotPath:
     def test_run_never_matmuls_floats(self, program8, infer_dataset,
                                       monkeypatch):
@@ -88,13 +99,18 @@ class TestNoFloatHotPath:
         calls = _guard_contractions(monkeypatch)
         logits = program8.run(infer_dataset.x_test[:32], batch_size=16)
         assert logits.shape == (32, 10)
-        batches = 2
-        for stage in program8.stages:
-            if stage.kind not in ("conv", "dw", "dense"):
-                continue
-            weight = stage.taps if stage.kind == "dw" else stage.w2d
-            seen = sum(id(weight) in operands for operands in calls)
-            assert seen >= batches, (stage.name, seen)
+        _assert_every_weight_guarded(program8, calls, batches=2)
+
+    def test_guard_sees_calls_bound_before_it(self, program8, infer_dataset,
+                                              monkeypatch):
+        """The executor binds each batch size's calls on its first batch;
+        a guard installed after that must still see every contraction,
+        so a bound call resolves ``np.einsum`` when it runs."""
+        x = infer_dataset.x_test[:32]
+        program8.run(x, batch_size=16)            # binds batch size 16
+        calls = _guard_contractions(monkeypatch)
+        program8.run(x, batch_size=16)
+        _assert_every_weight_guarded(program8, calls, batches=2)
 
     def test_guard_fires_on_float(self, monkeypatch):
         """Sanity: both wrappers in the previous test reject floats and

@@ -154,6 +154,21 @@ class TestPoolFigures:
         assert "worker utilisation mean=70.0% min=50.0%" in text
         assert "task skew (max/mean) mean=1.50 max=1.75" in text
 
+    def test_no_skew_line_over_one_task_batches(self, tmp_path):
+        """A lone task's max/mean is 1 by construction: batches of one
+        trial print no skew line."""
+        text = _render(tmp_path, _batch_events(
+            [(1.0, 2, True, [0.5]), (2.0, 2, True, [1.5])]))
+        assert "batches: 2" in text
+        assert "task skew" not in text
+
+    def test_skew_counts_only_batches_of_two_or_more(self, tmp_path):
+        """Trials of 1 s and 3 s: max/mean = 3/2; the one-task batch
+        beside them does not pull the mean to 1.25."""
+        text = _render(tmp_path, _batch_events(
+            [(3.0, 2, True, [1.0, 3.0]), (1.0, 2, True, [0.5])]))
+        assert "task skew (max/mean) mean=1.50 max=1.50" in text
+
     def test_serial_batch_counts_one_worker(self, tmp_path):
         text = _render(tmp_path, _batch_events([(4.0, 2, False, [1.0, 1.0])]))
         assert "worker utilisation mean=50.0% min=50.0%" in text

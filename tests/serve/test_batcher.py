@@ -143,6 +143,57 @@ class TestFailureIsolation:
                      if e["name"] == "serve.m.latency_s"]
         assert len(latencies) == 1            # the healthy request only
 
+    def test_outcomes_logged_before_waiters_wake(self, serve_artifact_path,
+                                                 serve_images):
+        """A client holding its answer finds the outcome in the log even
+        if the daemon is killed at once: each latency event and each
+        error counter is recorded while its request is still unanswered,
+        and a latency event holds the request's own latency."""
+        by_id = {}
+        answered_at_record = []
+
+        class Watching(TraceRecorder):
+            def observe(self, name, value, trial=None, **tags):
+                request = by_id[tags["request"]]
+                answered_at_record.append(request.done_at is not None)
+                super().observe(name, value, trial, **tags)
+
+            def counter(self, name, value=1, trial=None, **tags):
+                answered_at_record.append(doomed.done_at is not None)
+                super().counter(name, value, trial, **tags)
+
+        recorder = Watching()
+        runtime = make_runtime(serve_artifact_path, recorder=recorder,
+                               max_batch=4, max_wait_s=0.002)
+        worker = runtime.workers[0]
+        original = worker.executor.run_batch_into
+        calls = {"n": 0}
+
+        def flaky(x, out):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("arena exploded")
+            return original(x, out)
+
+        worker.executor.run_batch_into = flaky
+        doomed = ServeRequest("m", serve_images[0], timeout_s=60.0)
+        runtime.submit(doomed)
+        with pytest.raises(RuntimeError, match="arena exploded"):
+            doomed.wait(10.0)
+        requests = [ServeRequest("m", image, timeout_s=60.0)
+                    for image in serve_images[:6]]
+        by_id.update((request.id, request) for request in requests)
+        for request in requests:
+            runtime.submit(request)
+        for request in requests:
+            request.wait(60.0)
+        runtime.stop()
+        assert answered_at_record == [False] * 7
+        logged = {e["tags"]["request"]: e["value"] for e in recorder.events
+                  if e["name"] == "serve.m.latency_s"}
+        assert logged == {request.id: request.latency_s
+                          for request in requests}
+
     def test_hard_stop_flushes_backlog(self, serve_artifact_path,
                                        serve_images):
         # workers never started: the backlog can only leave via flush

@@ -342,6 +342,33 @@ class TestDrain:
         assert not any(name.startswith("infer.") for name in names)
         assert {"serve.load", "serve.batch", "serve.drain"} <= names
 
+    def test_request_ids_tag_one_latency_event_each(
+            self, serve_artifact_path, serve_images, tmp_path):
+        """A two-image predict returns two distinct request ids, in
+        input order, and the log holds exactly one latency event tagged
+        with each."""
+        run_dir = tmp_path / "run"
+        daemon = ServeDaemon(ServeConfig(port=0, max_batch=4,
+                                         max_wait_ms=2.0,
+                                         run_dir=str(run_dir)))
+        daemon.load_model("m", serve_artifact_path)
+        host, port = daemon.start()
+        status, body = post(f"http://{host}:{port}/v1/models/m/predict",
+                            {"inputs": serve_images[:2].tolist()})
+        daemon.shutdown(drain=True)
+        assert status == 200
+        ids = body["request_ids"]
+        assert len(ids) == 2 and ids[0] < ids[1]      # submitted in order
+        assert all(isinstance(i, int) for i in ids)
+        tagged = [e["tags"].get("request") for e in read_events(run_dir)
+                  if e["type"] == "hist"
+                  and e["name"] == "serve.m.latency_s"]
+        assert sorted(tagged) == sorted(ids)
+        check = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts/check_schema.py"),
+             str(run_dir)], capture_output=True, text=True, timeout=120)
+        assert check.returncode == 0, check.stdout + check.stderr
+
     def test_no_run_dir_records_into_current_recorder(
             self, serve_artifact_path, serve_images):
         from repro.obs.trace import TraceRecorder, use_recorder

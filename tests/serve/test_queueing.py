@@ -40,6 +40,31 @@ class TestServeRequest:
         assert not request.expired()
         assert request.expired(now=request.deadline + 1.0)
 
+    def test_ids_unique_across_threads(self):
+        """Handler threads create requests concurrently: eight threads
+        (more than cores) at a shortened switch interval never draw the
+        same id."""
+        n_threads, per_thread = 8, 500
+        ids = [[] for _ in range(n_threads)]
+
+        def create(index):
+            ids[index].extend(req().id for _ in range(per_thread))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=create, args=(i,))
+                       for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        drawn = [i for chunk in ids for i in chunk]
+        assert len(set(drawn)) == len(drawn) == n_threads * per_thread
+
     def test_wait_unblocks_cross_thread(self):
         request = req()
         threading.Timer(0.02, request.set_result,
